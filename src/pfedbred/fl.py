@@ -11,15 +11,17 @@ Reference baselines (FedAvg and a first-order meta-learning method that
 personalizes by fine-tuning) share the same sampling, batching, and
 aggregation machinery so runs are comparable.
 
+All three methods run the same round loop and differ only in two hooks: the
+local update of a sampled client and the personalization step after
+aggregation.
+
 Determinism: every stochastic choice is drawn from a generator seeded by a
-tuple of (run seed, client index, round index, purpose tag).  Work scheduled
-across threads touches disjoint clients and is reduced in a fixed order, so
-results do not depend on the worker count.
+tuple of (run seed, client index, round index, purpose tag), and clients are
+updated one after another in sorted order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,11 @@ TAG_INIT = 0
 TAG_SAMPLE = 1
 TAG_LOCAL = 2
 TAG_EVAL = 3
+
+
+def _require(ok: bool, key: str, name: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"config key {key!r} ({name}) must {rule}, got {value!r}")
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -94,9 +101,10 @@ class PriorStrategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}; expected one of {STRATEGY_KINDS}")
-        if self.eta_alpha < 0 or self.eta < 0:
-            raise ConfigError("eta_alpha and eta must be nonnegative")
+            raise ConfigError(f"config key 'strategy' (kind): unknown strategy kind "
+                              f"{self.kind!r}; expected one of {STRATEGY_KINDS}")
+        _require(self.eta_alpha >= 0, "eta_alpha", "eta_alpha", "be nonnegative", self.eta_alpha)
+        _require(self.eta >= 0, "eta", "eta", "be nonnegative", self.eta)
         if self.eta_tilde_alpha is None:
             object.__setattr__(self, "eta_tilde_alpha",
                                self.eta_alpha / self.eta if self.eta > 0 else 0.0)
@@ -186,26 +194,19 @@ class RunConfig:
     track_weights: bool = False
 
     def validate(self) -> None:
-        if self.num_rounds < 1 or self.local_steps < 1 or self.prox_steps < 1:
-            raise ConfigError("num_rounds, local_steps, and prox_steps must be >= 1")
-        if not 0 < self.sample_size <= self.num_clients:
-            raise ConfigError(
-                f"sample_size must lie in (0, num_clients], got "
-                f"{self.sample_size} of {self.num_clients}")
-        if not self.lam > 0:
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.alpha_m < 0:
-            raise ConfigError(f"alpha_m must be nonnegative, got {self.alpha_m}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.tricks.am and self.beta != 2.0:
-            raise ConfigError("aggregation momentum requires beta == 2")
+        """Check every range rule; each message names the config key and the field."""
+        for key, name in (("T", "num_rounds"), ("R", "local_steps"), ("K", "prox_steps"),
+                          ("N", "num_clients"), ("batch", "batch_size")):
+            _require(getattr(self, name) >= 1, key, name, "be >= 1", getattr(self, name))
+        _require(1 <= self.sample_size <= self.num_clients, "S", "sample_size",
+                 f"lie in [1, N={self.num_clients}]", self.sample_size)
+        _require(self.lam > 0, "lambda", "lam", "be positive", self.lam)
+        _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
+        _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
+        _require(self.beta > 0, "beta", "beta", "be positive", self.beta)
+        _require(not self.tricks.am or self.beta == 2.0, "am", "tricks.am",
+                 "have beta == 2 for aggregation momentum", self.beta)
+        _require(self.seed >= 0, "seed", "seed", "be nonnegative", self.seed)
 
     def prox_config(self) -> ProxConfig:
         return ProxConfig(inner_steps=self.prox_steps, inner_step_size=self.alpha,
@@ -248,11 +249,14 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
     return clients
 
 
-def _check_bounded(w: np.ndarray, round_index: int, client_index: int, step_index: int) -> None:
+def _check_bounded(w: np.ndarray, round_index: int, client_index: int,
+                   step_index: int | None = None) -> None:
+    """Raise DivergenceError past DIVERGENCE_LIMIT; no step index means personalization."""
     if not np.all(np.abs(w) <= DIVERGENCE_LIMIT):
+        where = "personalization" if step_index is None else f"local step {step_index}"
         raise DivergenceError(
             f"parameters exceeded {DIVERGENCE_LIMIT:g} at round {round_index}, "
-            f"client {client_index}, local step {step_index}",
+            f"client {client_index}, {where}",
             round_index=round_index, client_index=client_index, step_index=step_index)
 
 
@@ -260,7 +264,7 @@ def _check_bounded(w: np.ndarray, round_index: int, client_index: int, step_inde
 class LocalRoundResult:
     w_local: np.ndarray
     theta: np.ndarray
-    envelope_grads: list
+    envelope_grad: np.ndarray
 
 
 def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
@@ -272,7 +276,7 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
     the strategy's loss gradient when the strategy needs one (mh_variant
     reuses that batch for its lookahead gradient), then one batch per inner
     proximal step.  Returns the final local model, the final personalized
-    model, and the envelope gradient of every local step.
+    model, and the envelope gradient of the last local step.
     """
     strategy = cfg.strategy
     prox_cfg = cfg.prox_config()
@@ -281,7 +285,6 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
     theta = client.theta
     memorized = client.memorized_local
     needs_grad = strategy.kind in ("lg", "mh", "mh_variant")
-    env_grads = []
     for r in range(cfg.local_steps):
         grad_w = grad_shifted = None
         if needs_grad:
@@ -292,12 +295,11 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
         mu = compute_prior_mean(strategy, w, grad_w, memorized, theta, grad_shifted)
         theta = bregman_prox(mmap, cfg.lam, oracle, mu, prox_cfg, rng)
         env = envelope_gradient_first_order(cfg.lam, mu, theta)
-        env_grads.append(env)
         w = w - cfg.alpha_m * env
         _check_bounded(w, round_index, client.index, r)
     client.theta = theta
     client.memorized_local = w.copy()
-    return LocalRoundResult(w_local=w, theta=theta, envelope_grads=env_grads)
+    return LocalRoundResult(w_local=w, theta=theta, envelope_grad=env)
 
 
 def fedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
@@ -371,9 +373,6 @@ class RunHistory:
     final_thetas: list
     global_trajectory: list | None = None
 
-    def gce_series(self) -> list:
-        return [m.gce for m in self.rounds]
-
 
 class Evaluator:
     """Per-round metric computation over a fixed client population."""
@@ -427,96 +426,72 @@ class Evaluator:
         )
 
 
-def _map_in_order(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _run(method: str, strategy: str | None, cfg: RunConfig, dataset, partition, model,
+         local_update, personalize=None) -> RunHistory:
+    """The round loop every method shares: sample, update locally, aggregate, personalize.
 
-
-def _prepare(cfg: RunConfig, dataset, partition, model):
+    ``local_update(client, w, rng, t)`` returns the client's local model and
+    its last envelope gradient (None for methods without one).
+    ``personalize(clients, w, t)``, when given, sets every client's theta
+    after aggregation.
+    """
     cfg.validate()
     if partition.num_clients != cfg.num_clients:
         raise ConfigError(
             f"partition has {partition.num_clients} clients, config expects {cfg.num_clients}")
-    w0 = model.init_params(init_rng(cfg.seed))
-    clients = make_clients(dataset, partition, model, cfg.batch_size, w0)
-    ft_step = cfg.alpha if cfg.tricks.ft else None
+    w = model.init_params(init_rng(cfg.seed))
+    clients = make_clients(dataset, partition, model, cfg.batch_size, w)
     evaluator = Evaluator(model, clients, dataset.num_classes,
-                          ft_step=ft_step, track_deviations=cfg.track_deviations)
-    return w0, clients, evaluator
-
-
-def run_pfedbred(cfg: RunConfig, dataset, partition, model,
-                 mmap: MirrorMap = SQUARED_NORM, workers: int = 1) -> RunHistory:
-    """Full federated run with personalized Bregman-proximal local objectives."""
-    w, clients, evaluator = _prepare(cfg, dataset, partition, model)
+                          ft_step=cfg.alpha if cfg.tricks.ft else None,
+                          track_deviations=cfg.track_deviations)
     rounds, trajectory = [], []
     for t in range(1, cfg.num_rounds + 1):
         sampled = sample_clients(cfg.seed, t, cfg.num_clients, cfg.sample_size)
-
-        def work(i: int) -> LocalRoundResult:
-            return local_round(clients[i], w, cfg, mmap,
-                               client_rng(cfg.seed, int(i), t), round_index=t)
-
-        results = _map_in_order(work, list(sampled), workers)
-        w = aggregate(w, [r.w_local for r in results], cfg.beta)
-        env_grads = [r.envelope_grads[-1] for r in results]
+        results = [local_update(clients[i], w, client_rng(cfg.seed, int(i), t), t)
+                   for i in sampled]
+        w = aggregate(w, [w_local for w_local, _ in results], cfg.beta)
+        if personalize is not None:
+            personalize(clients, w, t)
+        env_grads = [g for _, g in results if g is not None]
         rounds.append(evaluator.compute(t, w, env_grads))
         if cfg.track_weights:
             trajectory.append(w.copy())
     return RunHistory(
-        method="pfedbred", strategy=cfg.strategy.kind, seed=cfg.seed, rounds=rounds,
+        method=method, strategy=strategy, seed=cfg.seed, rounds=rounds,
         final_global=w, final_thetas=[c.theta for c in clients],
         global_trajectory=trajectory if cfg.track_weights else None)
 
 
-def run_fedavg(cfg: RunConfig, dataset, partition, model, workers: int = 1) -> RunHistory:
+def run_pfedbred(cfg: RunConfig, dataset, partition, model,
+                 mmap: MirrorMap = SQUARED_NORM) -> RunHistory:
+    """Full federated run with personalized Bregman-proximal local objectives."""
+    def update(client, w, rng, t):
+        res = local_round(client, w, cfg, mmap, rng, round_index=t)
+        return res.w_local, res.envelope_grad
+
+    return _run("pfedbred", cfg.strategy.kind, cfg, dataset, partition, model, update)
+
+
+def run_fedavg(cfg: RunConfig, dataset, partition, model) -> RunHistory:
     """FedAvg baseline; the global model doubles as every client's personalized model."""
-    w, clients, evaluator = _prepare(cfg, dataset, partition, model)
-    rounds, trajectory = [], []
-    for t in range(1, cfg.num_rounds + 1):
-        sampled = sample_clients(cfg.seed, t, cfg.num_clients, cfg.sample_size)
+    def update(client, w, rng, t):
+        return fedavg_local_round(client, w, cfg, rng, round_index=t), None
 
-        def work(i: int) -> np.ndarray:
-            return fedavg_local_round(clients[i], w, cfg,
-                                      client_rng(cfg.seed, int(i), t), round_index=t)
-
-        locals_ = _map_in_order(work, list(sampled), workers)
-        w = aggregate(w, locals_, cfg.beta)
+    def personalize(clients, w, t):
         for c in clients:
             c.theta = w
-        rounds.append(evaluator.compute(t, w))
-        if cfg.track_weights:
-            trajectory.append(w.copy())
-    return RunHistory(
-        method="fedavg", strategy=None, seed=cfg.seed, rounds=rounds,
-        final_global=w, final_thetas=[c.theta for c in clients],
-        global_trajectory=trajectory if cfg.track_weights else None)
+
+    return _run("fedavg", None, cfg, dataset, partition, model, update, personalize)
 
 
-def run_perfedavg_fo(cfg: RunConfig, dataset, partition, model, workers: int = 1) -> RunHistory:
+def run_perfedavg_fo(cfg: RunConfig, dataset, partition, model) -> RunHistory:
     """First-order meta-learning baseline; personalization is fine-tuning from the global model."""
-    w, clients, evaluator = _prepare(cfg, dataset, partition, model)
-    rounds, trajectory = [], []
-    for t in range(1, cfg.num_rounds + 1):
-        sampled = sample_clients(cfg.seed, t, cfg.num_clients, cfg.sample_size)
+    def update(client, w, rng, t):
+        return perfedavg_local_round(client, w, cfg, rng, round_index=t), None
 
-        def work(i: int) -> np.ndarray:
-            return perfedavg_local_round(clients[i], w, cfg,
-                                         client_rng(cfg.seed, int(i), t), round_index=t)
-
-        locals_ = _map_in_order(work, list(sampled), workers)
-        w = aggregate(w, locals_, cfg.beta)
-
-        def personalize(c: ClientState) -> None:
+    def personalize(clients, w, t):
+        for c in clients:
             c.theta = perfedavg_personalize(c, w, cfg, eval_rng(cfg.seed, c.index, t))
+            _check_bounded(c.theta, t, c.index)
 
-        _map_in_order(personalize, clients, workers)
-        rounds.append(evaluator.compute(t, w))
-        if cfg.track_weights:
-            trajectory.append(w.copy())
-    return RunHistory(
-        method="perfedavg_fo", strategy=None, seed=cfg.seed, rounds=rounds,
-        final_global=w, final_thetas=[c.theta for c in clients],
-        global_trajectory=trajectory if cfg.track_weights else None)
+    return _run("perfedavg_fo", None, cfg, dataset, partition, model, update, personalize)

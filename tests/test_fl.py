@@ -122,7 +122,7 @@ def test_local_round_matches_closed_form_single_step():
     res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
     expected = w0 - cfg.alpha_m * lam / (1.0 + lam) * (w0 - a)
     assert np.allclose(res.w_local, expected, atol=1e-12)
-    assert len(res.envelope_grads) == 1
+    assert np.array_equal(res.envelope_grad, lam * (w0 - res.theta))
     # prox pulled theta toward a
     assert np.allclose(res.theta, (lam * w0 + a) / (1.0 + lam), atol=1e-12)
 
@@ -137,7 +137,11 @@ def test_local_round_contracts_geometrically():
     res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
     rho = 1.0 - cfg.alpha_m * lam / (1.0 + lam)
     assert np.allclose(res.w_local - a, rho ** steps * (w0 - a), atol=1e-12)
-    assert len(res.envelope_grads) == steps
+    # the returned envelope gradient is the last step's, taken at vanilla mu = w
+    before = local_round(quadratic_client(a, w0), w0,
+                         exact_prox_config(lam, alpha_m=0.3, local_steps=steps - 1),
+                         SQUARED_NORM, np.random.default_rng(0)).w_local
+    assert np.array_equal(res.envelope_grad, lam * (before - res.theta))
 
 
 def test_local_round_zero_alpha_m_keeps_w_but_updates_theta():
@@ -300,17 +304,6 @@ def test_run_pfedbred_unit_composition(blob_setup):
     assert np.array_equal(history.final_thetas[0], res.theta)
 
 
-def test_run_pfedbred_deterministic_across_workers(blob_setup):
-    ds, part, model = blob_setup
-    h1 = run_pfedbred(small_run_config(), ds, part, model, workers=1)
-    h4 = run_pfedbred(small_run_config(), ds, part, model, workers=4)
-    assert np.array_equal(h1.final_global, h4.final_global)
-    for a, b in zip(h1.final_thetas, h4.final_thetas):
-        assert np.array_equal(a, b)
-    assert [m.personalized_acc_localtest for m in h1.rounds] == \
-           [m.personalized_acc_localtest for m in h4.rounds]
-
-
 def test_run_pfedbred_seed_sensitivity(blob_setup):
     ds, part, model = blob_setup
     h1 = run_pfedbred(small_run_config(seed=1), ds, part, model)
@@ -430,3 +423,12 @@ def test_fedavg_divergence_error_in_baseline(blob_setup):
     ds, part, model = blob_setup
     with pytest.raises(DivergenceError):
         run_fedavg(small_run_config(alpha_m=1e200), ds, part, model)
+
+
+def test_perfedavg_divergent_personalization_raises(blob_setup):
+    # the shared iterate stays bounded; only the fine-tuned thetas explode
+    ds, part, model = blob_setup
+    with pytest.raises(DivergenceError, match="personalization") as err:
+        run_perfedavg_fo(small_run_config(alpha=1e307), ds, part, model)
+    assert err.value.round_index == 1
+    assert err.value.step_index is None
