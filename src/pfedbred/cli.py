@@ -355,8 +355,15 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     return run_dir
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ConfigError (exit 1, like any config error)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pfedbred",
         description="Personalized federated learning with Bregman-proximal local objectives.")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
@@ -377,8 +384,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         spec = parse_config(args.config, _overrides_from_args(args))
         # failures are raised as errors below; numpy's overflow warnings would
         # only print extra lines before the one error line

@@ -22,12 +22,14 @@ updated one after another in sorted order.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError, DivergenceError
-from .metrics import RoundMetrics, evaluate_global, evaluate_local_weighted, gce, loss_deviation, per_class_stats
+from .metrics import (RoundMetrics, check_local_tests, gce, loss_deviation, per_class_stats,
+                      weigh_local)
 from .mirror import SQUARED_NORM, MirrorMap, ProxConfig, bregman_prox, envelope_gradient_first_order
 from .models import LossOracle
 
@@ -374,8 +376,38 @@ class RunHistory:
     global_trajectory: list | None = None
 
 
+def _digest(params: np.ndarray) -> bytes:
+    """Content key of a parameter vector: equal bytes score equally on a fixed test set."""
+    return hashlib.sha256(np.ascontiguousarray(params).data).digest()
+
+
+class _RoundMemo:
+    """Results by content key, kept for the keys looked up this round and the last."""
+
+    def __init__(self):
+        self.previous: dict = {}
+        self.current: dict = {}
+
+    def get(self, key, fn, *args):
+        """The result stored under ``key``, or ``fn(*args)`` stored under it."""
+        if key not in self.current:
+            self.current[key] = self.previous[key] if key in self.previous else fn(*args)
+        return self.current[key]
+
+    def end_round(self) -> None:
+        self.previous, self.current = self.current, {}
+
+
 class Evaluator:
-    """Per-round metric computation over a fixed client population."""
+    """Per-round metric computation over a fixed client population.
+
+    A model's scores on a fixed test set depend only on its bytes, so a
+    model whose bytes were already scored this round or the previous one is
+    not scored again: only the sampled clients' personalized models change
+    between rounds.  One memo covers the pooled test set (the global model
+    and every personalized model's deviation row), another each client's
+    own split; both hold only the keys seen in the last two rounds.
+    """
 
     def __init__(self, model, clients: list[ClientState], num_classes: int,
                  ft_step: float | None = None, track_deviations: bool = True):
@@ -387,28 +419,41 @@ class Evaluator:
         self.global_x = np.concatenate([c.test_x for c in clients])
         self.global_y = np.concatenate([c.test_y for c in clients])
         self.tests = [(c.test_x, c.test_y) for c in clients]
+        self.sizes = check_local_tests(self.tests)
+        self._pooled = _RoundMemo()
+        self._local = _RoundMemo()
 
-    def personalized_params(self) -> list:
+    def personalized_params(self, round_index: int) -> list:
         if self.ft_step is None:
             return [c.theta for c in self.clients]
-        return [finetune_trick(c.theta, c.oracle, self.ft_step) for c in self.clients]
+        thetas = []
+        for c in self.clients:
+            theta = finetune_trick(c.theta, c.oracle, self.ft_step)
+            _check_bounded(theta, round_index, c.index)
+            thetas.append(theta)
+        return thetas
+
+    def _on_pooled(self, params: np.ndarray, key: bytes):
+        return self._pooled.get(key, per_class_stats, self.model, params,
+                                self.global_x, self.global_y, self.num_classes)
 
     def compute(self, round_index: int, w: np.ndarray, env_grads=None) -> RoundMetrics:
-        thetas = self.personalized_params()
-        global_acc, _ = evaluate_global(self.model, w, self.global_x, self.global_y,
-                                        self.num_classes)
-        local = evaluate_local_weighted(self.model, thetas, self.tests, self.num_classes)
+        thetas = self.personalized_params(round_index)
+        keys = [_digest(th) for th in thetas]
+        global_acc = self._on_pooled(w, _digest(w))[0]
+        local = weigh_local([
+            self._local.get((i, key), per_class_stats, self.model, th, x, y, self.num_classes)
+            for i, (th, key, (x, y)) in enumerate(zip(thetas, keys, self.tests))], self.sizes)
         dev_global: dict[int, float] = {}
         dev_local: dict[int, float] = {}
         if self.track_deviations:
-            on_global = np.stack([
-                per_class_stats(self.model, th, self.global_x, self.global_y,
-                                self.num_classes)[2]
-                for th in thetas])
+            on_global = np.stack([self._on_pooled(th, key)[2] for th, key in zip(thetas, keys)])
             dg = loss_deviation(on_global, np.ones(len(self.clients)))
             dl = loss_deviation(local.per_class_loss, local.class_counts)
             dev_global = {c: float(dg[0, c]) for c in range(self.num_classes)}
             dev_local = {c: float(dl[0, c]) for c in range(self.num_classes)}
+        self._pooled.end_round()
+        self._local.end_round()
         gce_value = None
         if env_grads is not None and len(env_grads) >= 2:
             try:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.signal import savgol_filter
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
+from .models import log_softmax, softmax
 
 _ZERO_NORM_TOL = 1e-300
 
@@ -44,10 +45,12 @@ class LocalTestResult:
 def per_class_stats(model, params, features, labels, num_classes):
     """Accuracy, mean loss, per-class mean loss, and per-class counts.
 
-    Classes absent from ``labels`` report a loss of 0 and a count of 0.
+    One forward pass yields both the losses and the predictions.  Classes
+    absent from ``labels`` report a loss of 0 and a count of 0.
     """
-    losses = model.per_example_loss(params, features, labels)
-    preds = np.argmax(model.predict_proba(params, features), axis=1)
+    logits = model.logits(params, features)
+    losses = -log_softmax(logits)[np.arange(features.shape[0]), labels]
+    preds = np.argmax(softmax(logits), axis=1)
     acc = float(np.mean(preds == labels))
     per_class = np.zeros(num_classes)
     counts = np.zeros(num_classes, dtype=np.int64)
@@ -67,6 +70,29 @@ def evaluate_global(model, params, features, labels, num_classes: int):
     return acc, per_class
 
 
+def check_local_tests(test_sets) -> np.ndarray:
+    """Local test sizes as floats; every client needs at least one test example."""
+    if len(test_sets) < 1:
+        raise ConfigError("no clients to evaluate")
+    sizes = np.array([features.shape[0] for features, _ in test_sets], dtype=np.float64)
+    for i, size in enumerate(sizes):
+        if size < 1:
+            raise ConfigError(f"client {i} has an empty local test split")
+    return sizes
+
+
+def weigh_local(stats, sizes: np.ndarray) -> LocalTestResult:
+    """Combine one ``per_class_stats`` result per client, weighted by local test size."""
+    accs, losses, per_class, counts = (np.array(column) for column in zip(*stats))
+    weights = sizes / sizes.sum()
+    return LocalTestResult(
+        weighted_accuracy=float(weights @ accs),
+        weighted_loss=float(weights @ losses),
+        per_class_loss=per_class,
+        class_counts=counts,
+    )
+
+
 def evaluate_local_weighted(model, params_per_client, test_sets, num_classes: int) -> LocalTestResult:
     """Evaluate each client's own model on its own test split.
 
@@ -75,27 +101,10 @@ def evaluate_local_weighted(model, params_per_client, test_sets, num_classes: in
     """
     if len(params_per_client) != len(test_sets):
         raise DimensionError("one parameter vector per client is required")
-    n_clients = len(test_sets)
-    if n_clients < 1:
-        raise ConfigError("no clients to evaluate")
-    accs = np.zeros(n_clients)
-    losses = np.zeros(n_clients)
-    sizes = np.zeros(n_clients)
-    per_class = np.zeros((n_clients, num_classes))
-    counts = np.zeros((n_clients, num_classes), dtype=np.int64)
-    for i, (params, (features, labels)) in enumerate(zip(params_per_client, test_sets)):
-        if features.shape[0] < 1:
-            raise ConfigError(f"client {i} has an empty local test split")
-        accs[i], losses[i], per_class[i], counts[i] = per_class_stats(
-            model, params, features, labels, num_classes)
-        sizes[i] = features.shape[0]
-    weights = sizes / sizes.sum()
-    return LocalTestResult(
-        weighted_accuracy=float(weights @ accs),
-        weighted_loss=float(weights @ losses),
-        per_class_loss=per_class,
-        class_counts=counts,
-    )
+    sizes = check_local_tests(test_sets)
+    return weigh_local([per_class_stats(model, params, features, labels, num_classes)
+                        for params, (features, labels) in zip(params_per_client, test_sets)],
+                       sizes)
 
 
 def gce(vectors) -> float:

@@ -86,6 +86,7 @@ def test_repeats_do_not_depend_on_pfb_threads(tmp_path, monkeypatch):
     (["--alpha", "1e300"], "DomainError"),
     (["--model", "dnn", "--method", "perfedavg_fo", "--alpha", "1e200"], "NumericalError"),
     (["--method", "perfedavg_fo", "--alpha", "1e307"], "DivergenceError"),
+    (["--method", "fedavg", "--ft", "--alpha", "1e12"], "DivergenceError"),
 ])
 def test_training_failures_exit_two(tmp_path, capsys, extra, error):
     # pytest captures warnings, so this cannot see numpy's RuntimeWarnings;
@@ -109,3 +110,21 @@ def test_training_failure_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: NumericalError: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--T", "many"], ["--alpha", "big"], ["--T"], ["--bogus"]])
+def test_malformed_flags_exit_one(tmp_path, capsys, extra):
+    # exit 2 is kept for failed training runs
+    code = main(SMALL_RUN + extra + ["--out", str(tmp_path / "runs")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--synth" in capsys.readouterr().out

@@ -432,3 +432,12 @@ def test_perfedavg_divergent_personalization_raises(blob_setup):
         run_perfedavg_fo(small_run_config(alpha=1e307), ds, part, model)
     assert err.value.round_index == 1
     assert err.value.step_index is None
+
+
+def test_finetune_divergent_personalization_raises(blob_setup):
+    # FedAvg's local steps use alpha_m; only the --ft step at alpha explodes
+    ds, part, model = blob_setup
+    with pytest.raises(DivergenceError, match="personalization") as err:
+        run_fedavg(small_run_config(alpha=1e12, tricks=Tricks(ft=True)), ds, part, model)
+    assert err.value.round_index == 1
+    assert err.value.step_index is None

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfedbred import (ConfigError, DegenerateInputError, Mclr, evaluate_global,
+from pfedbred import (ConfigError, DegenerateInputError, Dnn, Mclr, evaluate_global,
                       evaluate_local_weighted, gce, loss_deviation, per_class_stats,
                       savitzky_golay)
 from pfedbred.errors import DimensionError
@@ -170,3 +170,19 @@ def test_savgol_validation():
         savitzky_golay(series[:3], 5, 1)
     with pytest.raises(DimensionError):
         savitzky_golay(series.reshape(2, 5), 3, 1)
+
+
+@pytest.mark.parametrize("model", [Mclr(5, 4), Dnn(5, 4, hidden=7)], ids=["mclr", "dnn"])
+def test_per_class_stats_matches_two_forward_passes(model):
+    # one forward pass must give bit for bit what per_example_loss and predict_proba give
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(60, 5))
+    y = rng.integers(0, 4, size=60)
+    params = 3.0 * model.init_params(rng)
+    acc, mean_loss, per_class, counts = per_class_stats(model, params, x, y, 4)
+    losses = model.per_example_loss(params, x, y)
+    preds = np.argmax(model.predict_proba(params, x), axis=1)
+    assert acc == float(np.mean(preds == y))
+    assert mean_loss == float(losses.mean())
+    assert per_class.tolist() == [float(losses[y == c].mean()) for c in range(4)]
+    assert counts.tolist() == np.bincount(y, minlength=4).tolist()
