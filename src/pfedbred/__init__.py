@@ -14,7 +14,7 @@ from .metrics import (LocalTestResult, RoundMetrics, evaluate_global,
                       savitzky_golay)
 from .mirror import (MIRROR_MAPS, SQUARED_NORM, MirrorMap, ProxConfig, bregman_divergence,
                      bregman_divergence_conjugate, bregman_prox, conjugate_value,
-                     envelope_gradient_first_order, envelope_value, get_mirror_map)
+                     envelope_gradient, envelope_value, get_mirror_map)
 from .models import Dnn, LossOracle, Mclr, make_model
 
 __version__ = "0.1.0"
@@ -33,6 +33,6 @@ __all__ = [
     "gce", "loss_deviation", "per_class_stats", "savitzky_golay",
     "MIRROR_MAPS", "SQUARED_NORM", "MirrorMap", "ProxConfig", "bregman_divergence",
     "bregman_divergence_conjugate", "bregman_prox", "conjugate_value",
-    "envelope_gradient_first_order", "envelope_value", "get_mirror_map",
+    "envelope_gradient", "envelope_value", "get_mirror_map",
     "Dnn", "LossOracle", "Mclr", "make_model",
 ]

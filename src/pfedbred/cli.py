@@ -9,16 +9,15 @@ under the output root containing the resolved config, one JSON-lines file of
 per-round metrics per repeat, and a CSV summarizing the final round across
 repeats.
 
-Repeats run one after another in this process.  The environment variable
-PFB_THREADS is still read and must be an integer, but it changes nothing:
-results and run time are the same for any value.
+Repeats run one after another in this process.  A run that fails in
+training also writes ``status.json`` into its directory, saying where and
+why it failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -270,17 +269,6 @@ def build_partition(spec: ExperimentSpec, dataset: Dataset, seed: int):
     return split(dataset, spec.num_clients, param, train_fraction=spec.train_fraction, seed=seed)
 
 
-def threads_from_env() -> int:
-    raw = os.environ.get("PFB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"PFB_THREADS must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def _new_run_dir(root: Path) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     suffix = 0
@@ -313,13 +301,12 @@ def _round_record(m, repeat: int, seed: int, method: str, strategy) -> dict:
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     """Run all repeats, write outputs, and return the created run directory.
 
-    Repeats run one after another.  ``workers`` (default: PFB_THREADS) is
-    only checked: running repeats in parallel processes was measured no
-    faster for ``mclr`` and slower for ``dnn``, at about three times the
-    memory.
+    Repeats run one after another.  ``workers`` is accepted for existing
+    callers and ignored: running repeats in parallel processes was measured
+    no faster for ``mclr`` and slower for ``dnn``, at about three times the
+    memory.  A DivergenceError, DomainError or NumericalError in training
+    writes ``status.json`` into the run directory before it propagates.
     """
-    if workers is None:
-        threads_from_env()
     dataset = build_dataset(spec)
     root = Path(spec.out)
     root.mkdir(parents=True, exist_ok=True)
@@ -333,7 +320,17 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
         seed = spec.seed + repeat
         partition = build_partition(spec, dataset, seed)
         model = make_model(spec.model, dataset.num_features, dataset.num_classes)
-        history = RUNNERS[spec.method](spec.run_config(seed), dataset, partition, model)
+        try:
+            history = RUNNERS[spec.method](spec.run_config(seed), dataset, partition, model)
+        except (DivergenceError, DomainError, NumericalError) as exc:
+            # round, client and step are known only for a DivergenceError
+            status = {"status": "failed", "error": type(exc).__name__, "message": str(exc),
+                      "repeat": repeat, "round": getattr(exc, "round_index", None),
+                      "client": getattr(exc, "client_index", None),
+                      "step": getattr(exc, "step_index", None)}
+            (run_dir / "status.json").write_text(
+                json.dumps(status, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            raise
         with open(run_dir / f"repeat_{repeat}.jsonl", "w", encoding="utf-8") as fh:
             for m in history.rounds:
                 fh.write(json.dumps(_round_record(m, repeat, seed, spec.method, strategy),

@@ -4,8 +4,9 @@ Each client keeps a personalized model theta next to its copy of the global
 model.  A local step first selects a prior mean mu from the current local
 state (several selection strategies below), then moves theta toward the
 proximal point of the local loss around mu, and finally takes a gradient step
-on the local copy of the global model using the first-order envelope gradient
-lam * (mu - theta).  The server aggregates the returned local models.
+on the local copy of the global model using the envelope gradient
+lam * hess g*(mu) @ (mu - theta), which is lam * (mu - theta) for the
+squared-norm map.  The server aggregates the returned local models.
 
 Reference baselines (FedAvg and a first-order meta-learning method that
 personalizes by fine-tuning) share the same sampling, batching, and
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, DimensionError, DivergenceError
 from .metrics import (RoundMetrics, check_local_tests, gce, loss_deviation, per_class_stats,
                       weigh_local)
-from .mirror import SQUARED_NORM, MirrorMap, ProxConfig, bregman_prox, envelope_gradient_first_order
+from .mirror import SQUARED_NORM, MirrorMap, ProxConfig, bregman_prox, envelope_gradient
 from .models import LossOracle
 
 STRATEGY_KINDS = ("vanilla", "lg", "meg", "mh", "mh_variant")
@@ -296,7 +297,7 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
                 grad_shifted = oracle.gradient(variant_shift_point(strategy, w, grad_w), idx)
         mu = compute_prior_mean(strategy, w, grad_w, memorized, theta, grad_shifted)
         theta = bregman_prox(mmap, cfg.lam, oracle, mu, prox_cfg, rng)
-        env = envelope_gradient_first_order(cfg.lam, mu, theta)
+        env = envelope_gradient(mmap, cfg.lam, mu, theta)
         w = w - cfg.alpha_m * env
         _check_bounded(w, round_index, client.index, r)
     client.theta = theta
@@ -406,7 +407,8 @@ class Evaluator:
     not scored again: only the sampled clients' personalized models change
     between rounds.  One memo covers the pooled test set (the global model
     and every personalized model's deviation row), another each client's
-    own split; both hold only the keys seen in the last two rounds.
+    own split, and a third the ``--ft`` fine-tuned model of each client's
+    theta; each holds only the keys seen in the last two rounds.
     """
 
     def __init__(self, model, clients: list[ClientState], num_classes: int,
@@ -422,16 +424,18 @@ class Evaluator:
         self.sizes = check_local_tests(self.tests)
         self._pooled = _RoundMemo()
         self._local = _RoundMemo()
+        self._finetuned = _RoundMemo()
 
     def personalized_params(self, round_index: int) -> list:
         if self.ft_step is None:
             return [c.theta for c in self.clients]
-        thetas = []
-        for c in self.clients:
-            theta = finetune_trick(c.theta, c.oracle, self.ft_step)
-            _check_bounded(theta, round_index, c.index)
-            thetas.append(theta)
-        return thetas
+        return [self._finetuned.get((c.index, _digest(c.theta)), self._finetune, c, round_index)
+                for c in self.clients]
+
+    def _finetune(self, client: ClientState, round_index: int) -> np.ndarray:
+        theta = finetune_trick(client.theta, client.oracle, self.ft_step)
+        _check_bounded(theta, round_index, client.index)
+        return theta
 
     def _on_pooled(self, params: np.ndarray, key: bytes):
         return self._pooled.get(key, per_class_stats, self.model, params,
@@ -452,8 +456,8 @@ class Evaluator:
             dl = loss_deviation(local.per_class_loss, local.class_counts)
             dev_global = {c: float(dg[0, c]) for c in range(self.num_classes)}
             dev_local = {c: float(dl[0, c]) for c in range(self.num_classes)}
-        self._pooled.end_round()
-        self._local.end_round()
+        for memo in (self._pooled, self._local, self._finetuned):
+            memo.end_round()
         gce_value = None
         if env_grads is not None and len(env_grads) >= 2:
             try:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.signal import savgol_filter
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .models import log_softmax, softmax
+from .models import cross_entropy, softmax
 
 _ZERO_NORM_TOL = 1e-300
 
@@ -46,10 +46,12 @@ def per_class_stats(model, params, features, labels, num_classes):
     """Accuracy, mean loss, per-class mean loss, and per-class counts.
 
     One forward pass yields both the losses and the predictions.  Classes
-    absent from ``labels`` report a loss of 0 and a count of 0.
+    absent from ``labels`` report a loss of 0 and a count of 0.  Predictions
+    are the argmax of the probabilities, not of the logits: the two can
+    break ties differently once small probabilities underflow.
     """
     logits = model.logits(params, features)
-    losses = -log_softmax(logits)[np.arange(features.shape[0]), labels]
+    losses = cross_entropy(logits, labels)
     preds = np.argmax(softmax(logits), axis=1)
     acc = float(np.mean(preds == labels))
     per_class = np.zeros(num_classes)

@@ -159,17 +159,18 @@ def envelope_value(mmap: MirrorMap, lam: float, loss, mu, theta) -> float:
     return float(loss.value(theta, None)) + lam * bregman_divergence_conjugate(mmap, theta, mu)
 
 
-def envelope_gradient_first_order(lam: float, mu, theta_tilde) -> np.ndarray:
-    """First-order envelope gradient lam * (mu - theta_tilde).
+def envelope_gradient(mmap: MirrorMap, lam: float, mu, theta_tilde) -> np.ndarray:
+    """Gradient of the envelope mu -> min_theta f(theta) + lam * D_{g*}(theta, mu).
 
-    Exact for the squared-norm map, where the envelope gradient is
-    lam * hess g*(mu) @ (mu - prox(mu)) and the Hessian is the identity;
-    for other maps it drops the Hessian and model-Jacobian factors.
+    By Danskin's theorem it is the gradient of lam * D_{g*}(theta, mu) in mu
+    at the minimizer theta_tilde, lam * hess g*(mu) @ (mu - theta_tilde).
+    For the squared-norm map the Hessian is the identity and this is
+    lam * (mu - theta_tilde).
     """
     mu = _as_vector(mu, "mu")
     theta_tilde = _as_vector(theta_tilde, "theta_tilde")
     _check_same_shape(mu, theta_tilde)
-    return lam * (mu - theta_tilde)
+    return lam * mmap.hess_g_conj_apply(mu, mu - theta_tilde)
 
 
 def _neg_entropy(x: np.ndarray) -> float:

@@ -1,9 +1,12 @@
 """Classification models with closed-form gradients.
 
-Two softmax classifiers operate on flat parameter vectors: a multinomial
-logistic regression (one linear layer) and a two-layer network with a leaky
-ReLU hidden activation.  Gradients are written out by hand so that training
-needs no autodiff framework and stays bit-reproducible.
+One network class covers both models: a stack of dense layers with a leaky
+ReLU between layers and a softmax cross-entropy head.  Multinomial logistic
+regression (``Mclr``) is the one-layer case and the two-layer network
+(``Dnn``) has one hidden layer.  Parameters are one flat vector holding each
+layer's weight matrix (row-major, outputs x inputs) and then its bias, layer
+after layer.  Gradients are written out by hand so that training needs no
+autodiff framework and stays bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,137 +30,113 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-example loss of the softmax head: -log softmax(logits)[i, labels[i]]."""
+    return -log_softmax(logits)[np.arange(logits.shape[0]), labels]
+
+
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy with respect to the logits."""
+    n = logits.shape[0]
+    delta = softmax(logits)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    return delta
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # .all() skips np.all's Python-level dispatch, a large share of this check on a small batch
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values in {what}")
 
 
-class Mclr:
-    """Multinomial logistic regression: softmax(W x + b)."""
+class Network:
+    """Dense layers of widths ``sizes`` = (features, hidden..., classes) under a softmax head.
 
-    def __init__(self, num_features: int, num_classes: int):
-        if num_features < 1 or num_classes < 2:
-            raise ValueError("need num_features >= 1 and num_classes >= 2")
-        self.num_features = num_features
-        self.num_classes = num_classes
+    Every layer but the last is followed by a leaky ReLU with slope
+    ``negative_slope`` below zero.
+    """
 
-    @property
-    def num_params(self) -> int:
-        return self.num_classes * (self.num_features + 1)
+    def __init__(self, sizes: tuple, negative_slope: float = LEAKY_SLOPE):
+        if min(sizes) < 1 or sizes[-1] < 2:
+            raise ValueError("need num_features >= 1, num_classes >= 2, hidden >= 1")
+        self.num_features, self.num_classes = sizes[0], sizes[-1]
+        self.negative_slope = negative_slope
+        # per layer: weight slice, weight shape (fan_out, fan_in), bias slice of the flat vector
+        self._layers, offset = [], 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            bias = offset + fan_out * fan_in
+            self._layers.append((slice(offset, bias), (fan_out, fan_in), slice(bias, bias + fan_out)))
+            offset = bias + fan_out
+        self.num_params = offset
 
-    def _unpack(self, params: np.ndarray):
-        c, d = self.num_classes, self.num_features
+    def _unpack(self, params: np.ndarray) -> list:
         if params.shape != (self.num_params,):
             raise DimensionError(f"expected {self.num_params} parameters, got shape {params.shape}")
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d:]
-        return w, b
+        return [(params[w].reshape(shape), params[b]) for w, shape, b in self._layers]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        bound = 1.0 / np.sqrt(self.num_features)
-        return rng.uniform(-bound, bound, size=self.num_params)
+        """One uniform(+-1/sqrt(fan_in)) draw per layer, weights then bias, in layer order."""
+        draws = []
+        for w, (_, fan_in), b in self._layers:
+            bound = 1.0 / np.sqrt(fan_in)
+            draws.append(rng.uniform(-bound, bound, size=b.stop - w.start))
+        return np.concatenate(draws)
+
+    def _forward(self, layers: list, features: np.ndarray):
+        """Each layer's input, each hidden layer's pre-activation, and the logits."""
+        inputs, pres = [features], []
+        out = features @ layers[0][0].T + layers[0][1]
+        for w, b in layers[1:]:
+            pres.append(out)
+            inputs.append(np.where(out > 0.0, out, self.negative_slope * out))
+            out = inputs[-1] @ w.T + b
+        _check_finite(out, "logits")
+        return inputs, pres, out
 
     def logits(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w, b = self._unpack(params)
-        out = features @ w.T + b
-        _check_finite(out, "logits")
-        return out
+        return self._forward(self._unpack(params), features)[2]
 
     def per_example_loss(self, params, features, labels) -> np.ndarray:
-        ls = log_softmax(self.logits(params, features))
-        return -ls[np.arange(features.shape[0]), labels]
+        return cross_entropy(self.logits(params, features), labels)
 
     def loss(self, params, features, labels) -> float:
         return float(self.per_example_loss(params, features, labels).mean())
 
-    def grad(self, params, features, labels) -> np.ndarray:
-        n = features.shape[0]
-        probs = softmax(self.logits(params, features))
-        probs[np.arange(n), labels] -= 1.0
-        probs /= n
-        dw = probs.T @ features
-        db = probs.sum(axis=0)
-        return np.concatenate([dw.ravel(), db])
-
     def predict_proba(self, params, features) -> np.ndarray:
         return softmax(self.logits(params, features))
 
+    def grad(self, params, features, labels) -> np.ndarray:
+        layers = self._unpack(params)
+        inputs, pres, out = self._forward(layers, features)
+        delta = cross_entropy_grad(out, labels)
+        parts = []  # bias then weight gradients from the last layer back: the layout reversed
+        for i in range(len(layers) - 1, -1, -1):
+            parts += [delta.sum(axis=0), (delta.T @ inputs[i]).ravel()]
+            if i:
+                delta = (delta @ layers[i][0]) * np.where(pres[i - 1] > 0.0, 1.0,
+                                                           self.negative_slope)
+        return np.concatenate(parts[::-1])
 
-class Dnn:
+
+class Mclr(Network):
+    """Multinomial logistic regression: softmax(W x + b)."""
+
+    def __init__(self, num_features: int, num_classes: int):
+        super().__init__((num_features, num_classes))
+
+
+class Dnn(Network):
     """Two-layer network: softmax(W2 leaky_relu(W1 x + b1) + b2)."""
 
     def __init__(self, num_features: int, num_classes: int, hidden: int = 100,
                  negative_slope: float = LEAKY_SLOPE):
-        if num_features < 1 or num_classes < 2 or hidden < 1:
-            raise ValueError("need num_features >= 1, num_classes >= 2, hidden >= 1")
-        self.num_features = num_features
-        self.num_classes = num_classes
+        super().__init__((num_features, hidden, num_classes), negative_slope)
         self.hidden = hidden
-        self.negative_slope = negative_slope
-
-    @property
-    def num_params(self) -> int:
-        d, h, c = self.num_features, self.hidden, self.num_classes
-        return h * d + h + c * h + c
-
-    def _unpack(self, params: np.ndarray):
-        d, h, c = self.num_features, self.hidden, self.num_classes
-        if params.shape != (self.num_params,):
-            raise DimensionError(f"expected {self.num_params} parameters, got shape {params.shape}")
-        o = 0
-        w1 = params[o: o + h * d].reshape(h, d); o += h * d
-        b1 = params[o: o + h]; o += h
-        w2 = params[o: o + c * h].reshape(c, h); o += c * h
-        b2 = params[o:]
-        return w1, b1, w2, b2
-
-    def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        d, h, c = self.num_features, self.hidden, self.num_classes
-        bound1 = 1.0 / np.sqrt(d)
-        bound2 = 1.0 / np.sqrt(h)
-        layer1 = rng.uniform(-bound1, bound1, size=h * d + h)
-        layer2 = rng.uniform(-bound2, bound2, size=c * h + c)
-        return np.concatenate([layer1, layer2])
-
-    def _forward(self, params, features):
-        w1, b1, w2, b2 = self._unpack(params)
-        pre = features @ w1.T + b1
-        act = np.where(pre > 0.0, pre, self.negative_slope * pre)
-        out = act @ w2.T + b2
-        _check_finite(out, "logits")
-        return pre, act, out
-
-    def logits(self, params, features) -> np.ndarray:
-        return self._forward(params, features)[2]
 
     def pre_activations(self, params, features) -> np.ndarray:
         """Hidden-layer pre-activations; useful for steering clear of the ReLU kink."""
-        return self._forward(params, features)[0]
-
-    def per_example_loss(self, params, features, labels) -> np.ndarray:
-        ls = log_softmax(self.logits(params, features))
-        return -ls[np.arange(features.shape[0]), labels]
-
-    def loss(self, params, features, labels) -> float:
-        return float(self.per_example_loss(params, features, labels).mean())
-
-    def grad(self, params, features, labels) -> np.ndarray:
-        w1, b1, w2, b2 = self._unpack(params)
-        n = features.shape[0]
-        pre, act, out = self._forward(params, features)
-        delta2 = softmax(out)
-        delta2[np.arange(n), labels] -= 1.0
-        delta2 /= n
-        dw2 = delta2.T @ act
-        db2 = delta2.sum(axis=0)
-        dact = delta2 @ w2
-        delta1 = dact * np.where(pre > 0.0, 1.0, self.negative_slope)
-        dw1 = delta1.T @ features
-        db1 = delta1.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-
-    def predict_proba(self, params, features) -> np.ndarray:
-        return softmax(self.logits(params, features))
+        return self._forward(self._unpack(params), features)[1][0]
 
 
 def make_model(kind: str, num_features: int, num_classes: int):
@@ -213,6 +192,3 @@ class LossOracle:
     def gradient(self, params: np.ndarray, idx=None) -> np.ndarray:
         x, y = self._select(idx)
         return self.model.grad(params, x, y)
-
-    def predict_proba(self, params: np.ndarray, features=None) -> np.ndarray:
-        return self.model.predict_proba(params, self.features if features is None else features)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pfedbred import ConfigError
-from pfedbred.cli import (build_dataset, main, parse_config, run_experiment,
-                          threads_from_env)
+from pfedbred.cli import build_dataset, main, parse_config, run_experiment
 
 SYNTH = {"synth": "4,4,40,1.5", "partition": "label_shard:2", "N": 4, "S": 2,
          "T": 3, "R": 2, "K": 2, "batch": 5}
@@ -118,18 +117,6 @@ def test_build_dataset_seeded_by_spec():
     c = build_dataset(parse_config(None, dict(SYNTH, seed=2)))
     assert np.array_equal(a.features, b.features)
     assert not np.array_equal(a.features, c.features)
-
-
-def test_threads_from_env(monkeypatch):
-    monkeypatch.delenv("PFB_THREADS", raising=False)
-    assert threads_from_env() == 1
-    monkeypatch.setenv("PFB_THREADS", "4")
-    assert threads_from_env() == 4
-    monkeypatch.setenv("PFB_THREADS", "0")
-    assert threads_from_env() == 1
-    monkeypatch.setenv("PFB_THREADS", "four")
-    with pytest.raises(ConfigError, match="PFB_THREADS"):
-        threads_from_env()
 
 
 def test_run_experiment_writes_layout(tmp_path):

@@ -1,5 +1,6 @@
 """Table-driven checks of the config keys, repeats and failure exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +97,20 @@ def test_training_failures_exit_two(tmp_path, capsys, extra, error):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+    # the run directory says the run failed, and where
+    [run_dir] = (tmp_path / "runs").iterdir()
+    status = json.loads((run_dir / "status.json").read_text())
+    assert status["status"] == "failed"
+    assert status["error"] == error
+    assert err == f"error: {error}: {status['message']}\n"
+    assert status["repeat"] == 0
+    where = (status["round"], status["client"], status["step"])
+    if error == "DivergenceError":
+        # both cases diverge in personalization, which has no local step
+        assert f"at round {where[0]}, client {where[1]}, personalization" in status["message"]
+        assert where[2] is None
+    else:
+        assert where == (None, None, None)
 
 
 def test_training_failure_prints_only_the_error_line(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from pfedbred import (DegenerateInputError, Mclr, PriorStrategy, RoundMetrics, RunConfig, Tricks,
                       fl, partition_label_shard, run_fedavg, run_perfedavg_fo, run_pfedbred,
                       synth_gaussian_mixture)
+from pfedbred.fl import finetune_trick
 from pfedbred.metrics import gce, loss_deviation, per_class_stats
 
 ROUNDS = 4
@@ -23,8 +24,9 @@ CASES = {
 
 
 def from_scratch(ev, round_index, w, env_grads) -> RoundMetrics:
-    """The round's metrics with ``per_class_stats`` run for w and every theta on every set."""
-    thetas = ev.personalized_params(round_index)
+    """The round's metrics with every theta fine-tuned and scored afresh on every set."""
+    thetas = [c.theta if ev.ft_step is None else finetune_trick(c.theta, c.oracle, ev.ft_step)
+              for c in ev.clients]
     model, c = ev.model, ev.num_classes
     global_acc = per_class_stats(model, w, ev.global_x, ev.global_y, c)[0]
     local = [per_class_stats(model, th, x, y, c) for th, (x, y) in zip(thetas, ev.tests)]
@@ -58,31 +60,40 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     part = partition_label_shard(ds, cfg.num_clients, 2, train_fraction=0.8, seed=0)
     model = Mclr(ds.num_features, ds.num_classes)
 
-    calls = []  # per round: [pooled-set calls, local-split calls] the evaluator made
+    calls = []  # per round: [pooled-set calls, local-split calls, fine-tunes] the evaluator made
     pooled_x = []
 
     def counting(model, params, features, labels, num_classes):
         calls[-1][features is not pooled_x[0]] += 1
         return per_class_stats(model, params, features, labels, num_classes)
 
+    def counting_finetune(theta, oracle, step):
+        calls[-1][2] += 1
+        return finetune_trick(theta, oracle, step)
+
     class Checked(fl.Evaluator):
         def compute(self, round_index, w, env_grads=None):
             pooled_x[:] = [self.global_x]
-            calls.append([0, 0])
+            calls.append([0, 0, 0])
             got = super().compute(round_index, w, env_grads)
             want = from_scratch(self, round_index, w, env_grads)
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
             return got
 
     monkeypatch.setattr(fl, "per_class_stats", counting)
+    monkeypatch.setattr(fl, "finetune_trick", counting_finetune)
     monkeypatch.setattr(fl, "Evaluator", Checked)
     runner(cfg, ds, part, model)
     assert len(calls) == ROUNDS
     s, n = cfg.sample_size, cfg.num_clients
     if runner is run_pfedbred:
         # only the sampled clients' thetas and w change after round 1
-        assert all(pooled <= s + 1 and local <= s for pooled, local in calls[1:])
+        assert all(pooled <= s + 1 and local <= s for pooled, local, _ in calls[1:])
         assert calls[0][1] == n
+    if cfg.tricks.ft:
+        # a client's fine-tuned theta changes only when its theta does
+        assert calls[0][2] == n
+        assert all(finetunes <= s for _, _, finetunes in calls[1:])
     if runner is run_fedavg:
         # every theta is w: one pooled-set evaluation a round serves them all
-        assert all(pooled == 1 and local == n for pooled, local in calls)
+        assert all(pooled == 1 and local == n for pooled, local, _ in calls)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pfedbred import (MIRROR_MAPS, SQUARED_NORM, DimensionError, DomainError, ProxConfig,
                       bregman_divergence, bregman_divergence_conjugate, bregman_prox,
-                      conjugate_value, envelope_gradient_first_order, envelope_value,
+                      conjugate_value, envelope_gradient, envelope_value,
                       get_mirror_map)
 from pfedbred.errors import NumericalError
 
@@ -174,12 +174,12 @@ def test_envelope_value_at_anchor_is_loss_value():
 
 
 def test_envelope_gradient_examples():
-    got = envelope_gradient_first_order(1.0, np.zeros(2), np.array([0.5, 0.0]))
+    got = envelope_gradient(SQUARED_NORM, 1.0, np.zeros(2), np.array([0.5, 0.0]))
     assert np.allclose(got, [-0.5, 0.0])
-    assert np.allclose(envelope_gradient_first_order(15.0, np.array([0.1, -0.2]),
-                                                     np.zeros(2)), [1.5, -3.0])
+    assert np.allclose(envelope_gradient(SQUARED_NORM, 15.0, np.array([0.1, -0.2]),
+                                         np.zeros(2)), [1.5, -3.0])
     mu = np.array([0.3, 0.9])
-    assert np.allclose(envelope_gradient_first_order(4.0, mu, mu), 0.0)
+    assert np.allclose(envelope_gradient(SQUARED_NORM, 4.0, mu, mu), 0.0)
 
 
 def test_envelope_gradient_matches_finite_differences():
@@ -197,13 +197,33 @@ def test_envelope_gradient_matches_finite_differences():
         return envelope_value(SQUARED_NORM, lam, loss, m, t)
 
     theta = bregman_prox(SQUARED_NORM, lam, loss, mu, cfg, rng)
-    analytic = envelope_gradient_first_order(lam, mu, theta)
+    analytic = envelope_gradient(SQUARED_NORM, lam, mu, theta)
     h = 1e-4
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
         fd = (psi(mu + e) - psi(mu - e)) / (2 * h)
         assert abs(fd - analytic[i]) <= 1e-5
+
+
+@pytest.mark.parametrize("name", ["squared_norm", "negative_entropy", "logistic"])
+def test_envelope_gradient_exact_for_every_map(name):
+    # Danskin: d/dmu [min_t f(t) + lam D_{g*}(t, mu)] = lam hess g*(mu) (mu - prox(mu));
+    # dropping the Hessian is off by more than 1 here for the two non-quadratic maps
+    mmap = MIRROR_MAPS[name]
+    loss = QuadraticLoss([1.0, -2.0])
+    lam = 3.0
+    cfg = ProxConfig(inner_steps=200, inner_step_size=1.0 / (1.0 + lam), batch_size=1)
+    rng = np.random.default_rng(0)
+    mu = np.array([0.25, 0.5])
+
+    def psi(m):
+        return envelope_value(mmap, lam, loss, m, bregman_prox(mmap, lam, loss, m, cfg, rng))
+
+    analytic = envelope_gradient(mmap, lam, mu, bregman_prox(mmap, lam, loss, mu, cfg, rng))
+    h = 1e-4
+    fd = np.array([(psi(mu + h * e) - psi(mu - h * e)) / (2 * h) for e in np.eye(2)])
+    assert np.max(np.abs(fd - analytic)) <= 1e-7
 
 
 def test_prox_config_validation():

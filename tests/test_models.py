@@ -115,6 +115,47 @@ def test_dnn_leaky_relu_negative_side_in_gradient():
     assert grad[0] == pytest.approx(fd, rel=1e-5)
 
 
+def test_dnn_bit_matches_straight_line_two_layer_net():
+    # layout [W1, b1, W2, b2] and the leaky-ReLU forward and backward pass,
+    # written from scratch; every step must agree to the last bit
+    d, h, c, slope = 6, 5, 4, 0.01
+    model = Dnn(d, c, hidden=h)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(9, d))
+    y = rng.integers(0, c, size=9)
+
+    init = np.random.default_rng(0)
+    layer1 = init.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=h * d + h)
+    layer2 = init.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), size=c * h + c)
+    params = model.init_params(np.random.default_rng(0))
+    assert np.array_equal(params, np.concatenate([layer1, layer2]))
+
+    def forward(p):
+        w1, b1 = p[:h * d].reshape(h, d), p[h * d:h * d + h]
+        w2, b2 = p[h * d + h:h * d + h + c * h].reshape(c, h), p[h * d + h + c * h:]
+        pre = x @ w1.T + b1
+        act = np.where(pre > 0.0, pre, slope * pre)
+        return w2, pre, act, act @ w2.T + b2
+
+    def grad(p):
+        w2, pre, act, out = forward(p)
+        shifted = out - out.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        delta2 = e / e.sum(axis=1, keepdims=True)
+        delta2[np.arange(len(y)), y] -= 1.0
+        delta2 /= len(y)
+        delta1 = (delta2 @ w2) * np.where(pre > 0.0, 1.0, slope)
+        return np.concatenate([(delta1.T @ x).ravel(), delta1.sum(axis=0),
+                               (delta2.T @ act).ravel(), delta2.sum(axis=0)])
+
+    params = 3.0 * params  # pre-activations on both sides of the kink
+    for _ in range(4):
+        assert np.array_equal(model.logits(params, x), forward(params)[3])
+        g = grad(params)
+        assert np.array_equal(model.grad(params, x, y), g)
+        params = params - 0.5 * g
+
+
 def test_init_params_bounds_and_determinism():
     mclr = Mclr(9, 4)
     p1 = mclr.init_params(np.random.default_rng(42))
