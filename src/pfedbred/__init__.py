@@ -9,8 +9,7 @@ from .fl import (ClientState, Evaluator, LocalRoundResult, PriorStrategy, RunCon
                  fedavg_local_round, finetune_trick, init_rng, local_round, make_clients,
                  perfedavg_local_round, perfedavg_personalize, run_fedavg,
                  run_perfedavg_fo, run_pfedbred, sample_clients, variant_shift_point)
-from .metrics import (LocalTestResult, RoundMetrics, evaluate_global,
-                      evaluate_local_weighted, gce, loss_deviation, per_class_stats,
+from .metrics import (LocalTestResult, RoundMetrics, gce, loss_deviation, per_class_stats,
                       savitzky_golay)
 from .mirror import (MIRROR_MAPS, SQUARED_NORM, MirrorMap, ProxConfig, bregman_divergence,
                      bregman_divergence_conjugate, bregman_prox, conjugate_value,
@@ -29,8 +28,8 @@ __all__ = [
     "fedavg_local_round", "finetune_trick", "init_rng", "local_round", "make_clients",
     "perfedavg_local_round", "perfedavg_personalize", "run_fedavg",
     "run_perfedavg_fo", "run_pfedbred", "sample_clients", "variant_shift_point",
-    "LocalTestResult", "RoundMetrics", "evaluate_global", "evaluate_local_weighted",
-    "gce", "loss_deviation", "per_class_stats", "savitzky_golay",
+    "LocalTestResult", "RoundMetrics", "gce", "loss_deviation", "per_class_stats",
+    "savitzky_golay",
     "MIRROR_MAPS", "SQUARED_NORM", "MirrorMap", "ProxConfig", "bregman_divergence",
     "bregman_divergence_conjugate", "bregman_prox", "conjugate_value",
     "envelope_gradient", "envelope_value", "get_mirror_map",

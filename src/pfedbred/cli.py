@@ -9,9 +9,11 @@ under the output root containing the resolved config, one JSON-lines file of
 per-round metrics per repeat, and a CSV summarizing the final round across
 repeats.
 
-Repeats run one after another in this process.  A run that fails in
-training also writes ``status.json`` into its directory, saying where and
-why it failed.
+Repeats run one after another in this process.  Every repeat's partition
+is built before the directory is created, so a partition that cannot be
+built leaves no directory.  A run that fails in training, or on a config
+error found only there, also writes ``status.json`` into its directory,
+saying where and why it failed.
 """
 
 from __future__ import annotations
@@ -304,10 +306,13 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     Repeats run one after another.  ``workers`` is accepted for existing
     callers and ignored: running repeats in parallel processes was measured
     no faster for ``mclr`` and slower for ``dnn``, at about three times the
-    memory.  A DivergenceError, DomainError or NumericalError in training
-    writes ``status.json`` into the run directory before it propagates.
+    memory.  A ConfigError, DivergenceError, DomainError or NumericalError in
+    training writes ``status.json`` into the run directory before it
+    propagates.
     """
     dataset = build_dataset(spec)
+    partitions = [build_partition(spec, dataset, spec.seed + repeat)
+                  for repeat in range(spec.repeats)]
     root = Path(spec.out)
     root.mkdir(parents=True, exist_ok=True)
     run_dir = _new_run_dir(root)
@@ -316,13 +321,12 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
 
     strategy = spec.strategy if spec.method == "pfedbred" else None
     finals = []
-    for repeat in range(spec.repeats):
+    for repeat, partition in enumerate(partitions):
         seed = spec.seed + repeat
-        partition = build_partition(spec, dataset, seed)
         model = make_model(spec.model, dataset.num_features, dataset.num_classes)
         try:
             history = RUNNERS[spec.method](spec.run_config(seed), dataset, partition, model)
-        except (DivergenceError, DomainError, NumericalError) as exc:
+        except (ConfigError, DivergenceError, DomainError, NumericalError) as exc:
             # round, client and step are known only for a DivergenceError
             status = {"status": "failed", "error": type(exc).__name__, "message": str(exc),
                       "repeat": repeat, "round": getattr(exc, "round_index", None),

@@ -19,11 +19,17 @@ aggregation.
 Determinism: every stochastic choice is drawn from a generator seeded by a
 tuple of (run seed, client index, round index, purpose tag), and clients are
 updated one after another in sorted order.
+
+A parameter vector is never written in place: every update builds a new
+array, so arrays are shared freely (all clients start from the one initial
+vector, and FedAvg's clients all hold the global model).  ``Evaluator``
+enforces the rule: it keys its memos by array identity and marks every array
+it keys read-only, so a write in place raises instead of serving a stale
+score.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,6 +241,7 @@ class ClientState:
 
 
 def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> list[ClientState]:
+    """One client per partition entry; every client's theta and memorized model is ``w0`` itself."""
     clients = []
     for i in range(partition.num_clients):
         tr, te = partition.train[i], partition.test[i]
@@ -246,8 +253,8 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
             oracle=oracle,
             test_x=dataset.features[te],
             test_y=dataset.labels[te],
-            theta=w0.copy(),
-            memorized_local=w0.copy(),
+            theta=w0,
+            memorized_local=w0,
         ))
     return clients
 
@@ -284,7 +291,7 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
     strategy = cfg.strategy
     prox_cfg = cfg.prox_config()
     oracle = client.oracle
-    w = w_global.copy()
+    w = w_global
     theta = client.theta
     memorized = client.memorized_local
     needs_grad = strategy.kind in ("lg", "mh", "mh_variant")
@@ -301,7 +308,7 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
         w = w - cfg.alpha_m * env
         _check_bounded(w, round_index, client.index, r)
     client.theta = theta
-    client.memorized_local = w.copy()
+    client.memorized_local = w
     return LocalRoundResult(w_local=w, theta=theta, envelope_grad=env)
 
 
@@ -309,7 +316,7 @@ def fedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig
                        rng: np.random.Generator, round_index: int = 0) -> np.ndarray:
     """Plain local SGD on the client's loss."""
     oracle = client.oracle
-    w = w_global.copy()
+    w = w_global
     for r in range(cfg.local_steps):
         idx = oracle.draw_batch(rng, cfg.batch_size)
         w = w - cfg.alpha_m * oracle.gradient(w, idx)
@@ -326,7 +333,7 @@ def perfedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunCon
     on a second batch at step size alpha_m.
     """
     oracle = client.oracle
-    w = w_global.copy()
+    w = w_global
     for r in range(cfg.local_steps):
         idx_inner = oracle.draw_batch(rng, cfg.batch_size)
         inner = w - cfg.alpha * oracle.gradient(w, idx_inner)
@@ -377,23 +384,29 @@ class RunHistory:
     global_trajectory: list | None = None
 
 
-def _digest(params: np.ndarray) -> bytes:
-    """Content key of a parameter vector: equal bytes score equally on a fixed test set."""
-    return hashlib.sha256(np.ascontiguousarray(params).data).digest()
-
-
 class _RoundMemo:
-    """Results by content key, kept for the keys looked up this round and the last."""
+    """Results by parameter array, kept for the arrays looked up this round and the last.
+
+    A key is (tag, id(params)); ``tag`` tells apart the same array scored on
+    different sets.  The memo holds a reference to every array it keys, so
+    the id cannot be reused while the key lives, and marks the array
+    read-only, so a write in place raises instead of serving a stale result.
+    """
 
     def __init__(self):
         self.previous: dict = {}
         self.current: dict = {}
 
-    def get(self, key, fn, *args):
-        """The result stored under ``key``, or ``fn(*args)`` stored under it."""
+    def get(self, tag, params: np.ndarray, fn, *args):
+        """The result stored for ``params`` under ``tag``, or ``fn(*args)`` stored for it."""
+        key = (tag, id(params))
         if key not in self.current:
-            self.current[key] = self.previous[key] if key in self.previous else fn(*args)
-        return self.current[key]
+            if key in self.previous:
+                self.current[key] = self.previous[key]
+            else:
+                params.flags.writeable = False
+                self.current[key] = (params, fn(*args))
+        return self.current[key][1]
 
     def end_round(self) -> None:
         self.previous, self.current = self.current, {}
@@ -402,13 +415,14 @@ class _RoundMemo:
 class Evaluator:
     """Per-round metric computation over a fixed client population.
 
-    A model's scores on a fixed test set depend only on its bytes, so a
-    model whose bytes were already scored this round or the previous one is
-    not scored again: only the sampled clients' personalized models change
-    between rounds.  One memo covers the pooled test set (the global model
-    and every personalized model's deviation row), another each client's
-    own split, and a third the ``--ft`` fine-tuned model of each client's
-    theta; each holds only the keys seen in the last two rounds.
+    Parameter arrays are never written in place, so an array already scored
+    this round or the previous one is not scored again: only the sampled
+    clients' personalized models are new arrays between rounds.  One memo
+    covers the pooled test set (the global model and every personalized
+    model's deviation row), another each client's own split, and a third the
+    ``--ft`` fine-tuned model of each client's theta; each holds only the
+    arrays seen in the last two rounds, and makes every array it holds
+    read-only.
     """
 
     def __init__(self, model, clients: list[ClientState], num_classes: int,
@@ -429,7 +443,7 @@ class Evaluator:
     def personalized_params(self, round_index: int) -> list:
         if self.ft_step is None:
             return [c.theta for c in self.clients]
-        return [self._finetuned.get((c.index, _digest(c.theta)), self._finetune, c, round_index)
+        return [self._finetuned.get(c.index, c.theta, self._finetune, c, round_index)
                 for c in self.clients]
 
     def _finetune(self, client: ClientState, round_index: int) -> np.ndarray:
@@ -437,21 +451,20 @@ class Evaluator:
         _check_bounded(theta, round_index, client.index)
         return theta
 
-    def _on_pooled(self, params: np.ndarray, key: bytes):
-        return self._pooled.get(key, per_class_stats, self.model, params,
+    def _on_pooled(self, params: np.ndarray):
+        return self._pooled.get(None, params, per_class_stats, self.model, params,
                                 self.global_x, self.global_y, self.num_classes)
 
     def compute(self, round_index: int, w: np.ndarray, env_grads=None) -> RoundMetrics:
         thetas = self.personalized_params(round_index)
-        keys = [_digest(th) for th in thetas]
-        global_acc = self._on_pooled(w, _digest(w))[0]
+        global_acc = self._on_pooled(w)[0]
         local = weigh_local([
-            self._local.get((i, key), per_class_stats, self.model, th, x, y, self.num_classes)
-            for i, (th, key, (x, y)) in enumerate(zip(thetas, keys, self.tests))], self.sizes)
+            self._local.get(i, th, per_class_stats, self.model, th, x, y, self.num_classes)
+            for i, (th, (x, y)) in enumerate(zip(thetas, self.tests))], self.sizes)
         dev_global: dict[int, float] = {}
         dev_local: dict[int, float] = {}
         if self.track_deviations:
-            on_global = np.stack([self._on_pooled(th, key)[2] for th, key in zip(thetas, keys)])
+            on_global = np.stack([self._on_pooled(th)[2] for th in thetas])
             dg = loss_deviation(on_global, np.ones(len(self.clients)))
             dl = loss_deviation(local.per_class_loss, local.class_counts)
             dev_global = {c: float(dg[0, c]) for c in range(self.num_classes)}
@@ -504,7 +517,7 @@ def _run(method: str, strategy: str | None, cfg: RunConfig, dataset, partition, 
         env_grads = [g for _, g in results if g is not None]
         rounds.append(evaluator.compute(t, w, env_grads))
         if cfg.track_weights:
-            trajectory.append(w.copy())
+            trajectory.append(w)
     return RunHistory(
         method=method, strategy=strategy, seed=cfg.seed, rounds=rounds,
         final_global=w, final_thetas=[c.theta for c in clients],

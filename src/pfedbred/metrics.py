@@ -64,14 +64,6 @@ def per_class_stats(model, params, features, labels, num_classes):
     return acc, float(losses.mean()), per_class, counts
 
 
-def evaluate_global(model, params, features, labels, num_classes: int):
-    """Accuracy and per-class loss of one model on a pooled test set."""
-    if features.shape[0] < 1:
-        raise ConfigError("global test set is empty")
-    acc, _, per_class, _ = per_class_stats(model, params, features, labels, num_classes)
-    return acc, per_class
-
-
 def check_local_tests(test_sets) -> np.ndarray:
     """Local test sizes as floats; every client needs at least one test example."""
     if len(test_sets) < 1:
@@ -84,7 +76,10 @@ def check_local_tests(test_sets) -> np.ndarray:
 
 
 def weigh_local(stats, sizes: np.ndarray) -> LocalTestResult:
-    """Combine one ``per_class_stats`` result per client, weighted by local test size."""
+    """Combine one ``per_class_stats`` result per client, weighted by local test size.
+
+    A client with three times the test data counts three times as much.
+    """
     accs, losses, per_class, counts = (np.array(column) for column in zip(*stats))
     weights = sizes / sizes.sum()
     return LocalTestResult(
@@ -93,20 +88,6 @@ def weigh_local(stats, sizes: np.ndarray) -> LocalTestResult:
         per_class_loss=per_class,
         class_counts=counts,
     )
-
-
-def evaluate_local_weighted(model, params_per_client, test_sets, num_classes: int) -> LocalTestResult:
-    """Evaluate each client's own model on its own test split.
-
-    Accuracy and loss are averaged with weights proportional to local test
-    size, so a client with three times the data counts three times as much.
-    """
-    if len(params_per_client) != len(test_sets):
-        raise DimensionError("one parameter vector per client is required")
-    sizes = check_local_tests(test_sets)
-    return weigh_local([per_class_stats(model, params, features, labels, num_classes)
-                        for params, (features, labels) in zip(params_per_client, test_sets)],
-                       sizes)
 
 
 def gce(vectors) -> float:

@@ -138,7 +138,7 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, cfg: ProxConfig,
     mu = _as_vector(mu, "mu")
     check_domain(mmap.dual_domain, mu, "mu")
     grad_ref = mmap.grad_g_conj(mu)
-    theta = mu.copy()
+    theta = mu
     for k in range(cfg.inner_steps):
         idx = loss.draw_batch(rng, cfg.batch_size)
         grad = loss.gradient(theta, idx) + lam * (mmap.grad_g_conj(theta) - grad_ref)

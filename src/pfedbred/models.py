@@ -103,9 +103,6 @@ class Network:
     def loss(self, params, features, labels) -> float:
         return float(self.per_example_loss(params, features, labels).mean())
 
-    def predict_proba(self, params, features) -> np.ndarray:
-        return softmax(self.logits(params, features))
-
     def grad(self, params, features, labels) -> np.ndarray:
         layers = self._unpack(params)
         inputs, pres, out = self._forward(layers, features)
@@ -133,10 +130,6 @@ class Dnn(Network):
                  negative_slope: float = LEAKY_SLOPE):
         super().__init__((num_features, hidden, num_classes), negative_slope)
         self.hidden = hidden
-
-    def pre_activations(self, params, features) -> np.ndarray:
-        """Hidden-layer pre-activations; useful for steering clear of the ReLU kink."""
-        return self._forward(self._unpack(params), features)[1][0]
 
 
 def make_model(kind: str, num_features: int, num_classes: int):

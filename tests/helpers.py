@@ -35,6 +35,18 @@ class QuadraticLoss:
         return self.matrix @ d
 
 
+def dnn_pre_activations(model, params, features):
+    """Hidden pre-activations x @ W1.T + b1 of a one-hidden-layer network.
+
+    Reads the documented flat layout: W1 (hidden x features, row-major),
+    then b1, then the output layer.
+    """
+    d, h = model.num_features, model.hidden
+    w1 = params[:h * d].reshape(h, d)
+    b1 = params[h * d:h * d + h]
+    return features @ w1.T + b1
+
+
 class ZeroLoss:
     """f identically zero; the prox should return its anchor unchanged."""
 

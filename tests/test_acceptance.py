@@ -20,7 +20,7 @@ from pfedbred import (MIRROR_MAPS, SQUARED_NORM, Dataset, Dnn, Mclr, Partition,
                       run_pfedbred, savitzky_golay, synth_gaussian_mixture)
 from pfedbred.cli import parse_config, run_experiment
 
-from .helpers import QuadraticLoss
+from .helpers import QuadraticLoss, dnn_pre_activations
 
 MNIST_DIR = Path(__file__).resolve().parents[1] / "data" / "mnist"
 
@@ -56,7 +56,7 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
             if isinstance(model, Dnn):
                 # perturbing one weight by h moves a pre-activation by at
                 # most h * |x|; stay clear of the leaky ReLU kink
-                assert np.abs(model.pre_activations(params, x)).min() > 5 * 1e-5 * np.abs(x).max()
+                assert np.abs(dnn_pre_activations(model, params, x)).min() > 5 * 1e-5 * np.abs(x).max()
             good, worst = fd_gradcheck(model, params, x, y)
             ok = ok and good
             worst_overall = max(worst_overall, worst)

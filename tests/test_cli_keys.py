@@ -88,12 +88,15 @@ def test_repeats_do_not_depend_on_pfb_threads(tmp_path, monkeypatch):
     (["--model", "dnn", "--method", "perfedavg_fo", "--alpha", "1e200"], "NumericalError"),
     (["--method", "perfedavg_fo", "--alpha", "1e307"], "DivergenceError"),
     (["--method", "fedavg", "--ft", "--alpha", "1e12"], "DivergenceError"),
+    (["--synth", "2,2,1,1.0", "--N", "2", "--S", "1", "--partition", "label_shard:1"],
+     "ConfigError"),
 ])
 def test_training_failures_exit_two(tmp_path, capsys, extra, error):
     # pytest captures warnings, so this cannot see numpy's RuntimeWarnings;
     # test_training_failure_prints_only_the_error_line runs the real CLI
     code = main(SMALL_RUN + extra + ["--out", str(tmp_path / "runs")])
-    assert code == 2
+    # a config error found only once the run has started exits 1, like any config error
+    assert code == (1 if error == "ConfigError" else 2)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
@@ -127,13 +130,20 @@ def test_training_failure_prints_only_the_error_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("extra", [["--T", "many"], ["--alpha", "big"], ["--T"], ["--bogus"]])
+@pytest.mark.parametrize("extra", [
+    (["--T", "many"], "ConfigError"),
+    (["--alpha", "big"], "ConfigError"),
+    (["--T"], "ConfigError"),
+    (["--bogus"], "ConfigError"),
+    (["--partition", "label_shard:9"], "PartitionError"),  # 9 classes per client, 4 in total
+])
 def test_malformed_flags_exit_one(tmp_path, capsys, extra):
-    # exit 2 is kept for failed training runs
-    code = main(SMALL_RUN + extra + ["--out", str(tmp_path / "runs")])
+    # exit 2 is kept for failed training runs; a config error leaves no run directory
+    argv, error = extra
+    code = main(SMALL_RUN + argv + ["--out", str(tmp_path / "runs")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ConfigError: ")
+    assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
 

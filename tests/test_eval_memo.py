@@ -89,6 +89,9 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     if runner is run_pfedbred:
         # only the sampled clients' thetas and w change after round 1
         assert all(pooled <= s + 1 and local <= s for pooled, local, _ in calls[1:])
+        # round 1 scores w, the S new thetas and the one initial theta every client shares
+        # (with --ft, each client fine-tunes that theta into a model of its own)
+        assert calls[0][0] <= (n + 1 if cfg.tricks.ft else s + 2)
         assert calls[0][1] == n
     if cfg.tricks.ft:
         # a client's fine-tuned theta changes only when its theta does

@@ -322,6 +322,20 @@ def test_run_pfedbred_tracks_weights_when_asked(blob_setup):
     assert run_pfedbred(small_run_config(), ds, part, model).global_trajectory is None
 
 
+@pytest.mark.parametrize("runner", [run_pfedbred, run_fedavg, run_perfedavg_fo],
+                         ids=lambda runner: runner.__name__)
+def test_run_returns_read_only_parameters(blob_setup, runner):
+    # evaluation keys a model by its array object, so a write in place must raise
+    # rather than leave a stale score; with S=1 a client may keep the initial vector
+    ds, part, model = blob_setup
+    hist = runner(small_run_config(sample_size=1, track_weights=True), ds, part, model)
+    for params in [hist.final_global, *hist.final_thetas, *hist.global_trajectory]:
+        with pytest.raises(ValueError, match="read-only"):
+            params[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            params += 1.0
+
+
 def test_run_pfedbred_gce_requires_two_clients(blob_setup):
     ds, part, model = blob_setup
     hist = run_pfedbred(small_run_config(sample_size=1), ds, part, model)

@@ -3,12 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfedbred import (ConfigError, DegenerateInputError, Dnn, Mclr, evaluate_global,
-                      evaluate_local_weighted, gce, loss_deviation, per_class_stats,
-                      savitzky_golay)
+from pfedbred import (ClientState, ConfigError, DegenerateInputError, Dnn, Evaluator, LossOracle,
+                      Mclr, gce, loss_deviation, per_class_stats, savitzky_golay)
 from pfedbred.errors import DimensionError
+from pfedbred.metrics import check_local_tests, weigh_local
+from pfedbred.models import softmax
 
 ALWAYS_ZERO = np.array([0.0, 0.0, 1.0, 0.0])  # Mclr(1, 2) params: bias favors class 0
+
+
+def weighted_local(model, params, test_sets):
+    """Each client's split scored by one model and weighed as ``Evaluator`` weighs it."""
+    return weigh_local([per_class_stats(model, params, x, y, 2) for x, y in test_sets],
+                       check_local_tests(test_sets))
 
 
 def test_per_class_stats_marks_absent_classes():
@@ -26,7 +33,7 @@ def test_perfect_memorizer_scores_one():
     x = np.array([[1.0], [-1.0]])
     y = np.array([0, 1])
     params = np.array([10.0, -10.0, 0.0, 0.0])  # w0=10, w1=-10: sign(x) decides
-    acc, _ = evaluate_global(model, params, x, y, 2)
+    acc = per_class_stats(model, params, x, y, 2)[0]
     assert acc == 1.0
 
 
@@ -35,7 +42,7 @@ def test_zero_params_scores_chance_on_balanced_data():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(400, 2))
     y = np.tile(np.arange(4), 100)
-    acc, _ = evaluate_global(model, np.zeros(model.num_params), x, y, 4)
+    acc = per_class_stats(model, np.zeros(model.num_params), x, y, 4)[0]
     assert acc == pytest.approx(0.25, abs=1e-9)  # argmax ties resolve to class 0
 
 
@@ -43,7 +50,7 @@ def test_weighted_local_accuracy_example():
     model = Mclr(1, 2)
     big = (np.zeros((30, 1)), np.zeros(30, dtype=np.int64))  # all class 0: acc 1.0
     small = (np.zeros((10, 1)), np.ones(10, dtype=np.int64))  # all class 1: acc 0.0
-    result = evaluate_local_weighted(model, [ALWAYS_ZERO, ALWAYS_ZERO], [big, small], 2)
+    result = weighted_local(model, ALWAYS_ZERO, [big, small])
     assert result.weighted_accuracy == pytest.approx(0.75)
     assert result.per_class_loss.shape == (2, 2)
     assert result.class_counts.tolist() == [[30, 0], [0, 10]]
@@ -52,7 +59,7 @@ def test_weighted_local_accuracy_example():
 def test_weighted_local_equal_accuracy_passes_through():
     model = Mclr(1, 2)
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)) for _ in range(3)]
-    result = evaluate_local_weighted(model, [ALWAYS_ZERO] * 3, sets, 2)
+    result = weighted_local(model, ALWAYS_ZERO, sets)
     assert result.weighted_accuracy == pytest.approx(1.0)
 
 
@@ -60,10 +67,12 @@ def test_weighted_local_rejects_empty_test_split():
     model = Mclr(1, 2)
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)),
             (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
+    train = (np.zeros((5, 1)), np.zeros(5, dtype=np.int64))
+    clients = [ClientState(index=i, oracle=LossOracle(model, *train), test_x=x, test_y=y,
+                           theta=ALWAYS_ZERO, memorized_local=ALWAYS_ZERO)
+               for i, (x, y) in enumerate(sets)]
     with pytest.raises(ConfigError, match="client 1"):
-        evaluate_local_weighted(model, [ALWAYS_ZERO] * 2, sets, 2)
-    with pytest.raises(DimensionError):
-        evaluate_local_weighted(model, [ALWAYS_ZERO], sets, 2)
+        Evaluator(model, clients, 2)
 
 
 def test_gce_unit_values():
@@ -174,14 +183,14 @@ def test_savgol_validation():
 
 @pytest.mark.parametrize("model", [Mclr(5, 4), Dnn(5, 4, hidden=7)], ids=["mclr", "dnn"])
 def test_per_class_stats_matches_two_forward_passes(model):
-    # one forward pass must give bit for bit what per_example_loss and predict_proba give
+    # one forward pass must give bit for bit what per_example_loss and softmax(logits) give
     rng = np.random.default_rng(1)
     x = rng.normal(size=(60, 5))
     y = rng.integers(0, 4, size=60)
     params = 3.0 * model.init_params(rng)
     acc, mean_loss, per_class, counts = per_class_stats(model, params, x, y, 4)
     losses = model.per_example_loss(params, x, y)
-    preds = np.argmax(model.predict_proba(params, x), axis=1)
+    preds = np.argmax(softmax(model.logits(params, x)), axis=1)
     assert acc == float(np.mean(preds == y))
     assert mean_loss == float(losses.mean())
     assert per_class.tolist() == [float(losses[y == c].mean()) for c in range(4)]

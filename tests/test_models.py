@@ -3,6 +3,9 @@ import pytest
 
 from pfedbred import Dnn, LossOracle, Mclr, make_model
 from pfedbred.errors import DimensionError, NumericalError
+from pfedbred.models import softmax
+
+from .helpers import dnn_pre_activations
 
 
 def random_problem(model, scale, seed, n=8):
@@ -35,7 +38,8 @@ def test_mclr_zero_params_gives_log_c_loss():
 
 def test_mclr_zero_params_predicts_uniform():
     model = Mclr(3, 4)
-    probs = model.predict_proba(np.zeros(model.num_params), np.random.default_rng(0).normal(size=(5, 3)))
+    probs = softmax(model.logits(np.zeros(model.num_params),
+                                 np.random.default_rng(0).normal(size=(5, 3))))
     assert np.allclose(probs, 0.25)
 
 
@@ -58,8 +62,8 @@ def test_softmax_translation_invariance():
     x = rng.normal(size=(7, 3))
     shifted = params.copy()
     shifted[-4:] += 10.0  # same constant onto every class bias
-    assert np.allclose(model.predict_proba(params, x),
-                       model.predict_proba(shifted, x), atol=1e-9)
+    assert np.allclose(softmax(model.logits(params, x)),
+                       softmax(model.logits(shifted, x)), atol=1e-9)
 
 
 def test_mclr_loss_matches_per_example_loop():
@@ -96,7 +100,7 @@ def test_dnn_gradient_matches_finite_differences(scale):
     params, x, y = random_problem(model, scale, seed=17)
     # a perturbation of h in one first-layer weight shifts a pre-activation
     # by at most h * |x|; keep every unit further than that from the kink
-    assert np.abs(model.pre_activations(params, x)).min() > 5 * 1e-5 * np.abs(x).max()
+    assert np.abs(dnn_pre_activations(model, params, x)).min() > 5 * 1e-5 * np.abs(x).max()
     coords = np.random.default_rng(6).choice(model.num_params, size=20, replace=False)
     finite_difference_check(model, params, x, y, coords)
 
