@@ -49,7 +49,13 @@ def _as_int(key: str, value) -> int:
 def _as_float(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range, as JSON allows
+        number = np.inf
+    if not np.isfinite(number):
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(key: str, value) -> bool:

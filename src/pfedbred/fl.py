@@ -140,7 +140,7 @@ def compute_prior_mean(strategy: PriorStrategy, w_local: np.ndarray,
     """
     kind = strategy.kind
     if kind == "vanilla":
-        return w_local.copy()
+        return w_local
     if kind == "lg":
         if grad_f_at_w is None:
             raise ValueError("lg needs grad_f_at_w")

@@ -65,10 +65,25 @@ def test_flag_round_trips_through_the_config(key):
     assert parse_config(None, {k: v for k, v in config.items() if v is not None}) == spec
 
 
-@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
-def test_out_of_range_value_names_its_key(name):
+FLOAT_KEYS = sorted(key.name for key in KEYS if key.coerce is cli._as_float)
+
+
+@pytest.mark.parametrize("name, value", [
+    *(pytest.param(name, OUT_OF_RANGE[name], id=name) for name in sorted(OUT_OF_RANGE)),
+    *(pytest.param(name, float("inf"), id=f"{name}-inf") for name in FLOAT_KEYS),
+])
+def test_out_of_range_value_names_its_key(name, value):
     with pytest.raises(ConfigError, match=f"'{name}'"):
-        parse_config(None, dict(BASE, **{name: OUT_OF_RANGE[name]}))
+        parse_config(None, dict(BASE, **{name: value}))
+
+
+def test_non_finite_json_values_are_config_errors(tmp_path):
+    # json.load accepts the non-standard tokens Infinity and NaN, and integers of any size
+    for token in ("Infinity", "-Infinity", "NaN", "1" + "0" * 400):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"synth": "4,4,30,1.0", "lambda": {token}}}')
+        with pytest.raises(ConfigError, match="'lambda' must be a finite number"):
+            parse_config(path)
 
 
 def test_repeats_do_not_depend_on_pfb_threads(tmp_path, monkeypatch):
@@ -116,18 +131,41 @@ def test_training_failures_exit_two(tmp_path, capsys, extra, error):
         assert where == (None, None, None)
 
 
-def test_training_failure_prints_only_the_error_line(tmp_path):
-    # this run overflows in Dnn.logits before it fails
+def run_python(args):
+    """Run a fresh interpreter that imports pfedbred from this source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pfedbred.cli", *SMALL_RUN, "--model", "dnn", "--method",
-         "perfedavg_fo", "--alpha", "1e200", "--out", str(tmp_path / "runs")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_training_failure_prints_only_the_error_line(tmp_path):
+    # this run overflows in Dnn.logits before it fails
+    proc = run_python(["-m", "pfedbred.cli", *SMALL_RUN, "--model", "dnn", "--method",
+                       "perfedavg_fo", "--alpha", "1e200", "--out", str(tmp_path / "runs")])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: NumericalError: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_runs_and_smooths_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    argv = SMALL_RUN + ["--out", str(tmp_path / "runs")]
+    proc = run_python(["-c", f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from pfedbred import savitzky_golay
+from pfedbred.cli import main
+code = main({argv!r})
+print(savitzky_golay(np.arange(9.0), 5, 2).tolist())
+sys.exit(code)
+"""])
+    assert proc.returncode == 0, proc.stderr
+    [run_dir] = (tmp_path / "runs").iterdir()
+    assert (run_dir / "repeat_0.jsonl").read_text().count("\n") == 2
+    assert json.loads(proc.stdout.splitlines()[-1]) == pytest.approx(list(range(9)))
 
 
 @pytest.mark.parametrize("extra", [
@@ -136,6 +174,7 @@ def test_training_failure_prints_only_the_error_line(tmp_path):
     (["--T"], "ConfigError"),
     (["--bogus"], "ConfigError"),
     (["--partition", "label_shard:9"], "PartitionError"),  # 9 classes per client, 4 in total
+    (["--lambda", "inf"], "ConfigError"),
 ])
 def test_malformed_flags_exit_one(tmp_path, capsys, extra):
     # exit 2 is kept for failed training runs; a config error leaves no run directory

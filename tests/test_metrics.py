@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,11 @@ def test_savgol_reproduces_polynomials_including_edges():
     assert np.allclose(savitzky_golay(quadratic, 5, 2), quadratic, atol=1e-9)
     constant = np.full(11, 4.2)
     assert np.allclose(savitzky_golay(constant, 7, 2), constant, atol=1e-12)
+    # a fit of order 20 over positions 0..30 would be ill-conditioned and warn
+    degree_20 = np.polynomial.Polynomial(np.linspace(1.0, -1.0, 21))(np.linspace(-1, 1, 45))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.allclose(savitzky_golay(degree_20, 31, 20), degree_20, atol=1e-9)
 
 
 def test_savgol_smooths_noise():
@@ -167,6 +174,19 @@ def test_savgol_window_one_is_identity():
     out = savitzky_golay(series, 1, 0)
     assert np.array_equal(out, series)
     assert out is not series
+
+
+def test_savgol_matches_scipy_interp_mode():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        window = int(rng.choice(np.arange(1, 32, 2)))
+        order = int(rng.integers(0, min(window, 5)))
+        series = rng.standard_normal(int(rng.integers(window, window + 40)))
+        series *= 10.0 ** rng.uniform(-3, 3)
+        reference = signal.savgol_filter(series, window, order, mode="interp")
+        assert np.max(np.abs(savitzky_golay(series, window, order) - reference)) \
+            <= 1e-9 * np.max(np.abs(series))
 
 
 def test_savgol_validation():
