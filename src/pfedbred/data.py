@@ -38,14 +38,13 @@ class Dataset:
             raise ValueError("labels must align with features rows")
         if self.features.shape[0] < 1:
             raise ValueError("dataset is empty")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError("labels out of range for num_classes")
-        present = np.unique(self.labels)
-        if len(present) != self.num_classes:
-            missing = sorted(set(range(self.num_classes)) - set(present.tolist()))
-            raise ValueError(f"classes without examples: {missing}")
+        counts = np.bincount(self.labels, minlength=self.num_classes)  # np.unique imports numpy.ma
+        if not counts.all():
+            raise ValueError(f"classes without examples: {np.flatnonzero(counts == 0).tolist()}")
 
     @property
     def n(self) -> int:
@@ -69,8 +68,12 @@ class Partition:
             raise ValueError("train and test must list the same clients")
         if len(self.train) < 1:
             raise ValueError("partition has no clients")
+        owner = np.full(int(np.concatenate(self.train + self.test).max(initial=-1)) + 1, -1)
         for i, (tr, te) in enumerate(zip(self.train, self.test)):
-            if np.intersect1d(tr, te).size:
+            if not (tr.size and te.size):
+                continue  # an empty split overlaps nothing, whatever its dtype
+            owner[tr] = i  # client i's train rows; np.intersect1d would sort, import numpy.ma
+            if (owner[te] == i).any():
                 raise ValueError(f"client {i} has overlapping train/test indices")
 
     @property

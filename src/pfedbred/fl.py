@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DimensionError, DivergenceError
 from .metrics import (RoundMetrics, check_local_tests, gce, loss_deviation, per_class_stats,
-                      weigh_local)
+                      stacked_class_stats, weigh_local)
 from .mirror import SQUARED_NORM, MirrorMap, ProxConfig, bregman_prox, envelope_gradient
 from .models import LossOracle
 
@@ -262,7 +262,7 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
 def _check_bounded(w: np.ndarray, round_index: int, client_index: int,
                    step_index: int | None = None) -> None:
     """Raise DivergenceError past DIVERGENCE_LIMIT; no step index means personalization."""
-    if not np.all(np.abs(w) <= DIVERGENCE_LIMIT):
+    if not (np.abs(w) <= DIVERGENCE_LIMIT).all():
         where = "personalization" if step_index is None else f"local step {step_index}"
         raise DivergenceError(
             f"parameters exceeded {DIVERGENCE_LIMIT:g} at round {round_index}, "
@@ -397,16 +397,19 @@ class _RoundMemo:
         self.previous: dict = {}
         self.current: dict = {}
 
+    def lookup(self, tag, params: np.ndarray):
+        """The result stored for ``params`` under ``tag`` this round or the last, or None."""
+        key = (tag, id(params))
+        if key in self.previous:
+            self.current.setdefault(key, self.previous[key])
+        return self.current.get(key, (None, None))[1]
+
     def get(self, tag, params: np.ndarray, fn, *args):
         """The result stored for ``params`` under ``tag``, or ``fn(*args)`` stored for it."""
-        key = (tag, id(params))
-        if key not in self.current:
-            if key in self.previous:
-                self.current[key] = self.previous[key]
-            else:
-                params.flags.writeable = False
-                self.current[key] = (params, fn(*args))
-        return self.current[key][1]
+        if self.lookup(tag, params) is None:
+            params.flags.writeable = False
+            self.current[(tag, id(params))] = (params, fn(*args))
+        return self.current[(tag, id(params))][1]
 
     def end_round(self) -> None:
         self.previous, self.current = self.current, {}
@@ -415,14 +418,13 @@ class _RoundMemo:
 class Evaluator:
     """Per-round metric computation over a fixed client population.
 
-    Parameter arrays are never written in place, so an array already scored
-    this round or the previous one is not scored again: only the sampled
-    clients' personalized models are new arrays between rounds.  One memo
-    covers the pooled test set (the global model and every personalized
-    model's deviation row), another each client's own split, and a third the
-    ``--ft`` fine-tuned model of each client's theta; each holds only the
-    arrays seen in the last two rounds, and makes every array it holds
-    read-only.
+    Parameter arrays are never written in place, so an array already scored this round or
+    the previous one is not scored again: only the sampled clients' personalized models are
+    new arrays between rounds.  One memo covers the pooled test set (the global model and
+    every personalized model's deviation row), another each client's own split, and a third
+    the ``--ft`` fine-tuned model of each client's theta; each holds only the arrays seen in
+    the last two rounds, and makes every array it holds read-only.  The clients that miss
+    the local memo are scored in one stacked pass per (array, split size).
     """
 
     def __init__(self, model, clients: list[ClientState], num_classes: int,
@@ -455,12 +457,23 @@ class Evaluator:
         return self._pooled.get(None, params, per_class_stats, self.model, params,
                                 self.global_x, self.global_y, self.num_classes)
 
+    def _on_local(self, thetas: list) -> list:
+        results = [self._local.lookup(i, th) for i, th in enumerate(thetas)]
+        groups: dict = {}
+        for i in (i for i, result in enumerate(results) if result is None):
+            groups.setdefault((id(thetas[i]), self.sizes[i]), []).append(i)
+        for members in groups.values():  # a lone split goes as a view, a group is stacked
+            x, y = (np.stack(column) if len(members) > 1 else column[0][None]
+                    for column in zip(*(self.tests[i] for i in members)))
+            stats = stacked_class_stats(self.model, thetas[members[0]], x, y, self.num_classes)
+            for row, i in enumerate(members):
+                results[i] = self._local.get(i, thetas[i], tuple, (c[row] for c in stats))
+        return results
+
     def compute(self, round_index: int, w: np.ndarray, env_grads=None) -> RoundMetrics:
         thetas = self.personalized_params(round_index)
         global_acc = self._on_pooled(w)[0]
-        local = weigh_local([
-            self._local.get(i, th, per_class_stats, self.model, th, x, y, self.num_classes)
-            for i, (th, (x, y)) in enumerate(zip(thetas, self.tests))], self.sizes)
+        local = weigh_local(self._on_local(thetas), self.sizes)
         dev_global: dict[int, float] = {}
         dev_local: dict[int, float] = {}
         if self.track_deviations:

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateInputError, DimensionError
-from .models import cross_entropy, softmax
+from .models import cross_entropy_and_softmax
 
 _ZERO_NORM_TOL = 1e-300
 
@@ -42,26 +42,28 @@ class LocalTestResult:
     class_counts: np.ndarray  # (clients, classes) test example counts
 
 
-def per_class_stats(model, params, features, labels, num_classes):
-    """Accuracy, mean loss, per-class mean loss, and per-class counts.
+def stacked_class_stats(model, params, features, labels, num_classes):
+    """``per_class_stats`` of one model on k splits: features (k, m, D), labels (k, m).
 
-    One forward pass yields both the losses and the predictions.  Classes
-    absent from ``labels`` report a loss of 0 and a count of 0.  Predictions
-    are the argmax of the probabilities, not of the logits: the two can
-    break ties differently once small probabilities underflow.
+    One forward and one softmax pass run each split's float operations unchanged, so row j
+    is split j's result bit for bit.  Absent classes get loss 0 and count 0.  Predictions are
+    the probabilities' argmax: the logits' can break ties differently once values underflow.
     """
-    logits = model.logits(params, features)
-    losses = cross_entropy(logits, labels)
-    preds = np.argmax(softmax(logits), axis=1)
-    acc = float(np.mean(preds == labels))
-    per_class = np.zeros(num_classes)
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for cls in range(num_classes):
-        mask = labels == cls
-        counts[cls] = int(mask.sum())
-        if counts[cls]:
-            per_class[cls] = float(losses[mask].mean())
-    return acc, float(losses.mean()), per_class, counts
+    losses, probs = cross_entropy_and_softmax(model.logits(params, features), labels)
+    accs = np.mean(np.argmax(probs, axis=-1) == labels, axis=-1)
+    counts = np.bincount((labels + num_classes * np.arange(len(labels))[:, None]).ravel(),
+                         minlength=len(labels) * num_classes).reshape(-1, num_classes)
+    per_class = np.zeros(counts.shape)
+    for split, cls in zip(*np.nonzero(counts)):
+        per_class[split, cls] = losses[split][labels[split] == cls].mean()
+    return accs, losses.mean(axis=-1), per_class, counts
+
+
+def per_class_stats(model, params, features, labels, num_classes):
+    """Accuracy, mean loss, per-class loss and counts on one split: k = 1 of the stacked form."""
+    acc, loss, per_class, counts = (column[0] for column in stacked_class_stats(
+        model, params, features[None], labels[None], num_classes))
+    return float(acc), float(loss), per_class, counts
 
 
 def check_local_tests(test_sets) -> np.ndarray:

@@ -23,10 +23,10 @@ from .errors import DimensionError, DomainError, NumericalError
 
 # Domains are open sets; boundary points are rejected rather than clamped.
 _DOMAIN_CHECKS: dict[str, Callable[[np.ndarray], bool]] = {
-    "reals": lambda x: bool(np.all(np.isfinite(x))),
-    "positive": lambda x: bool(np.all(np.isfinite(x)) and np.all(x > 0.0)),
-    "negative": lambda x: bool(np.all(np.isfinite(x)) and np.all(x < 0.0)),
-    "unit_interval": lambda x: bool(np.all(np.isfinite(x)) and np.all(x > 0.0) and np.all(x < 1.0)),
+    "reals": lambda x: bool(np.isfinite(x).all()),
+    "positive": lambda x: bool(np.isfinite(x).all() and (x > 0.0).all()),
+    "negative": lambda x: bool(np.isfinite(x).all() and (x < 0.0).all()),
+    "unit_interval": lambda x: bool(np.isfinite(x).all() and (x > 0.0).all() and (x < 1.0).all()),
 }
 
 
@@ -142,7 +142,7 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, cfg: ProxConfig,
     for k in range(cfg.inner_steps):
         idx = loss.draw_batch(rng, cfg.batch_size)
         grad = loss.gradient(theta, idx) + lam * (mmap.grad_g_conj(theta) - grad_ref)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NumericalError(f"non-finite proximal gradient at inner step {k}")
         theta = theta - cfg.inner_step_size * grad
         check_domain(mmap.dual_domain, theta, f"prox iterate at inner step {k}")

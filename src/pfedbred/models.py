@@ -18,21 +18,23 @@ from .errors import DimensionError, NumericalError
 LEAKY_SLOPE = 0.01
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, stabilized by subtracting the row max."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _shift_exp_sum(logits: np.ndarray):
+    """The softmax head's pass over the last axis: logits less their max, its exp, the exp's sum."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    _, e, total = _shift_exp_sum(logits)
+    return e / total
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-example loss of the softmax head: -log softmax(logits)[i, labels[i]]."""
-    return -log_softmax(logits)[np.arange(logits.shape[0]), labels]
+def cross_entropy_and_softmax(logits: np.ndarray, labels: np.ndarray):
+    """Per-example loss -log softmax(logits)[..., label] and the probabilities, from one pass."""
+    shifted, e, total = _shift_exp_sum(logits)
+    losses = -np.take_along_axis(shifted - np.log(total), labels[..., None], axis=-1)[..., 0]
+    return losses, e / total
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -98,7 +100,7 @@ class Network:
         return self._forward(self._unpack(params), features)[2]
 
     def per_example_loss(self, params, features, labels) -> np.ndarray:
-        return cross_entropy(self.logits(params, features), labels)
+        return cross_entropy_and_softmax(self.logits(params, features), labels)[0]
 
     def loss(self, params, features, labels) -> float:
         return float(self.per_example_loss(params, features, labels).mean())

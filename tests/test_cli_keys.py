@@ -168,6 +168,20 @@ sys.exit(code)
     assert json.loads(proc.stdout.splitlines()[-1]) == pytest.approx(list(range(9)))
 
 
+def test_cli_run_does_not_import_numpy_ma(tmp_path):
+    # numpy's set routines (np.unique, np.intersect1d) import numpy.ma, about 17 ms, on first use
+    argv = SMALL_RUN + ["--out", str(tmp_path / "runs")]
+    proc = run_python(["-c", f"""
+import sys
+from pfedbred.cli import main
+code = main({argv!r})
+print("numpy.ma" in sys.modules)
+sys.exit(code)
+"""])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("extra", [
     (["--T", "many"], "ConfigError"),
     (["--alpha", "big"], "ConfigError"),

@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from pfedbred import (Dataset, IdxFormatError, Mclr, PartitionError, load_csv, load_idx,
-                      partition_dirichlet, partition_label_shard, save_csv,
+from pfedbred import (Dataset, IdxFormatError, Mclr, Partition, PartitionError, load_csv,
+                      load_idx, partition_dirichlet, partition_label_shard, save_csv,
                       synth_gaussian_mixture)
 from pfedbred.models import softmax
 
@@ -34,6 +34,16 @@ def test_dataset_validation():
         Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]), num_classes=1)
     with pytest.raises(ValueError, match="without examples"):
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 0]), num_classes=2)
+    with pytest.raises(ValueError, match=r"classes without examples: \[1, 3\]$"):
+        Dataset(features=np.zeros((2, 2)), labels=np.array([0, 2]), num_classes=4)
+
+
+def test_partition_rejects_train_test_overlap():
+    Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([7]), np.arange(3)), seed=0)
+    Partition(train=(np.arange(3), np.array([])), test=(np.array([]), np.array([5])), seed=0)
+    with pytest.raises(ValueError, match="client 1 has overlapping train/test indices"):
+        Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([4]), np.array([5, 4])),
+                  seed=0)
 
 
 def test_label_shard_each_client_sees_exact_class_count(corpus):

@@ -9,7 +9,7 @@ from pfedbred import (DegenerateInputError, Mclr, PriorStrategy, RoundMetrics, R
                       fl, partition_label_shard, run_fedavg, run_perfedavg_fo, run_pfedbred,
                       synth_gaussian_mixture)
 from pfedbred.fl import finetune_trick
-from pfedbred.metrics import gce, loss_deviation, per_class_stats
+from pfedbred.metrics import gce, loss_deviation, per_class_stats, stacked_class_stats
 
 ROUNDS = 4
 BASE = dict(alpha_m=0.05, alpha=0.05, lam=5.0, num_rounds=ROUNDS, local_steps=2, prox_steps=2,
@@ -60,12 +60,20 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     part = partition_label_shard(ds, cfg.num_clients, 2, train_fraction=0.8, seed=0)
     model = Mclr(ds.num_features, ds.num_classes)
 
-    calls = []  # per round: [pooled-set calls, local-split calls, fine-tunes] the evaluator made
+    # per round: [pooled-set calls, (client, array) pairs scored on local splits, fine-tunes,
+    # stacked local-split calls] the evaluator made
+    calls = []
     pooled_x = []
 
-    def counting(model, params, features, labels, num_classes):
-        calls[-1][features is not pooled_x[0]] += 1
+    def counting_pooled(model, params, features, labels, num_classes):
+        assert features is pooled_x[0]
+        calls[-1][0] += 1
         return per_class_stats(model, params, features, labels, num_classes)
+
+    def counting_local(model, params, features, labels, num_classes):
+        calls[-1][1] += labels.shape[0]
+        calls[-1][3] += 1
+        return stacked_class_stats(model, params, features, labels, num_classes)
 
     def counting_finetune(theta, oracle, step):
         calls[-1][2] += 1
@@ -74,13 +82,14 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     class Checked(fl.Evaluator):
         def compute(self, round_index, w, env_grads=None):
             pooled_x[:] = [self.global_x]
-            calls.append([0, 0, 0])
+            calls.append([0, 0, 0, 0])
             got = super().compute(round_index, w, env_grads)
             want = from_scratch(self, round_index, w, env_grads)
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
             return got
 
-    monkeypatch.setattr(fl, "per_class_stats", counting)
+    monkeypatch.setattr(fl, "per_class_stats", counting_pooled)
+    monkeypatch.setattr(fl, "stacked_class_stats", counting_local)
     monkeypatch.setattr(fl, "finetune_trick", counting_finetune)
     monkeypatch.setattr(fl, "Evaluator", Checked)
     runner(cfg, ds, part, model)
@@ -88,15 +97,19 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     s, n = cfg.sample_size, cfg.num_clients
     if runner is run_pfedbred:
         # only the sampled clients' thetas and w change after round 1
-        assert all(pooled <= s + 1 and local <= s for pooled, local, _ in calls[1:])
+        assert all(pooled <= s + 1 and local <= s for pooled, local, _, _ in calls[1:])
         # round 1 scores w, the S new thetas and the one initial theta every client shares
         # (with --ft, each client fine-tunes that theta into a model of its own)
         assert calls[0][0] <= (n + 1 if cfg.tricks.ft else s + 2)
         assert calls[0][1] == n
+        if not cfg.tricks.ft:
+            # every local split here has one size, so one stacked call scores the shared theta
+            assert calls[0][3] <= s + 1
     if cfg.tricks.ft:
         # a client's fine-tuned theta changes only when its theta does
         assert calls[0][2] == n
-        assert all(finetunes <= s for _, _, finetunes in calls[1:])
+        assert all(finetunes <= s for _, _, finetunes, _ in calls[1:])
     if runner is run_fedavg:
-        # every theta is w: one pooled-set evaluation a round serves them all
-        assert all(pooled == 1 and local == n for pooled, local, _ in calls)
+        # every theta is w: one pooled-set evaluation and one stacked local call a round
+        assert all(pooled == 1 and local == n and stacked == 1
+                   for pooled, local, _, stacked in calls)

@@ -7,6 +7,7 @@ from pfedbred import (ClientState, ConfigError, DivergenceError, LossOracle, Mcl
                       init_rng, local_round, make_clients, perfedavg_local_round,
                       run_fedavg, run_pfedbred, run_perfedavg_fo, sample_clients)
 from pfedbred.errors import DimensionError
+from pfedbred.fl import DIVERGENCE_LIMIT, _check_bounded
 
 from .helpers import QuadraticLoss, even_partition, two_blob_dataset
 
@@ -211,6 +212,13 @@ def test_local_round_mh_variant_reuses_strategy_batch():
         theta = theta - cfg.alpha * (oracle.gradient(theta, None) + cfg.lam * (theta - mu))
     expected_w = w0 - cfg.alpha_m * (cfg.lam * (mu - theta))
     assert np.array_equal(res.w_local, expected_w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 * DIVERGENCE_LIMIT])
+def test_check_bounded_rejects_nonfinite_and_huge(bad):
+    _check_bounded(np.array([0.0, -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]), 1, 0, 0)
+    with pytest.raises(DivergenceError, match="round 3, client 2, local step 4"):
+        _check_bounded(np.array([0.0, bad]), 3, 2, 4)
 
 
 def test_aggregate_examples():

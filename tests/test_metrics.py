@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfedbred import (ClientState, ConfigError, DegenerateInputError, Dnn, Evaluator, LossOracle,
-                      Mclr, gce, loss_deviation, per_class_stats, savitzky_golay)
+                      Mclr, gce, loss_deviation, partition_dirichlet, per_class_stats,
+                      savitzky_golay, synth_gaussian_mixture)
 from pfedbred.errors import DimensionError
-from pfedbred.metrics import check_local_tests, weigh_local
+from pfedbred.metrics import check_local_tests, stacked_class_stats, weigh_local
 from pfedbred.models import softmax
 
 ALWAYS_ZERO = np.array([0.0, 0.0, 1.0, 0.0])  # Mclr(1, 2) params: bias favors class 0
@@ -215,3 +216,30 @@ def test_per_class_stats_matches_two_forward_passes(model):
     assert mean_loss == float(losses.mean())
     assert per_class.tolist() == [float(losses[y == c].mean()) for c in range(4)]
     assert counts.tolist() == np.bincount(y, minlength=4).tolist()
+
+
+@pytest.mark.parametrize("model", [Mclr(10, 10), Dnn(784, 10)], ids=["mclr", "dnn"])
+def test_stacked_class_stats_bit_matches_per_split_scoring(model):
+    # each row of one stacked pass equals that split's own per_class_stats exactly
+    ds = synth_gaussian_mixture(10, model.num_features, 30, 1.0, seed=0)
+    part = partition_dirichlet(ds, 12, 0.3, seed=1)
+    splits = [(ds.features[te], ds.labels[te]) for te in part.test]
+    by_size = {}
+    for x, y in splits:
+        by_size.setdefault(y.size, []).append((x, y))
+    assert len(by_size) > 1  # ragged split sizes
+    assert max(len(group) for group in by_size.values()) > 1
+    assert any(np.bincount(y, minlength=10).min() == 0 for _, y in splits)  # absent classes
+    rng = np.random.default_rng(2)
+    arrays = [model.init_params(rng)] + [3.0 * model.init_params(rng) for _ in range(3)]
+    for params in arrays:  # one array shared by every split, then several distinct arrays
+        for group in by_size.values():
+            xs, ys = zip(*group)
+            stacked = stacked_class_stats(model, params, np.stack(xs), np.stack(ys), 10)
+            for row, (x, y) in enumerate(group):
+                acc, mean_loss, per_class, counts = per_class_stats(model, params, x, y, 10)
+                assert stacked[0][row] == acc and stacked[1][row] == mean_loss
+                assert np.array_equal(stacked[2][row], per_class)
+                assert stacked[2].dtype == per_class.dtype
+                assert np.array_equal(stacked[3][row], counts)
+                assert stacked[3].dtype == counts.dtype
