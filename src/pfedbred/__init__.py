@@ -5,13 +5,13 @@ from .data import (Dataset, Partition, load_csv, load_idx, partition_dirichlet,
 from .errors import (ConfigError, DegenerateInputError, DimensionError, DivergenceError,
                      DomainError, IdxFormatError, NumericalError, PartitionError)
 from .fl import (ClientState, Evaluator, LocalRoundResult, PriorStrategy, RunConfig,
-                 RunHistory, Tricks, aggregate, client_rng, compute_prior_mean, eval_rng,
+                 RunHistory, aggregate, client_rng, compute_prior_mean, eval_rng,
                  fedavg_local_round, finetune_trick, init_rng, local_round, make_clients,
                  perfedavg_local_round, perfedavg_personalize, run_fedavg,
-                 run_perfedavg_fo, run_pfedbred, sample_clients, variant_shift_point)
+                 run_perfedavg_fo, run_pfedbred, sample_clients)
 from .metrics import (LocalTestResult, RoundMetrics, gce, loss_deviation, per_class_stats,
                       savitzky_golay)
-from .mirror import (MIRROR_MAPS, SQUARED_NORM, MirrorMap, ProxConfig, bregman_divergence,
+from .mirror import (MIRROR_MAPS, SQUARED_NORM, MirrorMap, bregman_divergence,
                      bregman_divergence_conjugate, bregman_prox, conjugate_value,
                      envelope_gradient, envelope_value, get_mirror_map)
 from .models import Dnn, LossOracle, Mclr, make_model
@@ -24,13 +24,13 @@ __all__ = [
     "ConfigError", "DegenerateInputError", "DimensionError", "DivergenceError",
     "DomainError", "IdxFormatError", "NumericalError", "PartitionError",
     "ClientState", "Evaluator", "LocalRoundResult", "PriorStrategy", "RunConfig",
-    "RunHistory", "Tricks", "aggregate", "client_rng", "compute_prior_mean", "eval_rng",
+    "RunHistory", "aggregate", "client_rng", "compute_prior_mean", "eval_rng",
     "fedavg_local_round", "finetune_trick", "init_rng", "local_round", "make_clients",
     "perfedavg_local_round", "perfedavg_personalize", "run_fedavg",
-    "run_perfedavg_fo", "run_pfedbred", "sample_clients", "variant_shift_point",
+    "run_perfedavg_fo", "run_pfedbred", "sample_clients",
     "LocalTestResult", "RoundMetrics", "gce", "loss_deviation", "per_class_stats",
     "savitzky_golay",
-    "MIRROR_MAPS", "SQUARED_NORM", "MirrorMap", "ProxConfig", "bregman_divergence",
+    "MIRROR_MAPS", "SQUARED_NORM", "MirrorMap", "bregman_divergence",
     "bregman_divergence_conjugate", "bregman_prox", "conjugate_value",
     "envelope_gradient", "envelope_value", "get_mirror_map",
     "Dnn", "LossOracle", "Mclr", "make_model",

@@ -31,8 +31,8 @@ import numpy as np
 from .data import (Dataset, load_csv, load_idx, partition_dirichlet,
                    partition_label_shard, synth_gaussian_mixture)
 from .errors import ConfigError, DivergenceError, DomainError, NumericalError
-from .fl import (STRATEGY_KINDS, PriorStrategy, RunConfig, Tricks, run_fedavg,
-                 run_perfedavg_fo, run_pfedbred)
+from .fl import (STRATEGY_KINDS, PriorStrategy, RunConfig, run_fedavg, run_perfedavg_fo,
+                 run_pfedbred)
 from .models import make_model
 
 RUNNERS = {"pfedbred": run_pfedbred, "fedavg": run_fedavg, "perfedavg_fo": run_perfedavg_fo}
@@ -205,7 +205,7 @@ class ExperimentSpec:
             prox_steps=self.prox_steps, sample_size=self.sample_size,
             num_clients=self.num_clients, batch_size=self.batch_size,
             strategy=PriorStrategy(kind=self.strategy, eta_alpha=self.eta_alpha, eta=self.eta),
-            tricks=Tricks(ft=self.ft, am=self.am), seed=seed,
+            ft=self.ft, am=self.am, seed=seed,
             track_deviations=self.track_deviations)
 
 

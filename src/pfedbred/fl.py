@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, DimensionError, DivergenceError
 from .metrics import (RoundMetrics, check_local_tests, gce, loss_deviation, per_class_stats,
                       stacked_class_stats, weigh_local)
-from .mirror import SQUARED_NORM, MirrorMap, ProxConfig, bregman_prox, envelope_gradient
+from .mirror import SQUARED_NORM, MirrorMap, bregman_prox, envelope_gradient
 from .models import LossOracle
 
 STRATEGY_KINDS = ("vanilla", "lg", "meg", "mh", "mh_variant")
@@ -119,14 +119,9 @@ class PriorStrategy:
                                self.eta_alpha / self.eta if self.eta > 0 else 0.0)
         if self.eta_tilde is None:
             object.__setattr__(self, "eta_tilde", self.eta_alpha)
-        if self.eta_tilde_alpha < 0 or self.eta_tilde < 0:
-            raise ConfigError("lookahead steps must be nonnegative")
-
-
-def variant_shift_point(strategy: PriorStrategy, w_local: np.ndarray,
-                        grad_f_at_w: np.ndarray) -> np.ndarray:
-    """Lookahead point w - eta_tilde * grad f(w) used by the mh_variant strategy."""
-    return w_local - strategy.eta_tilde * grad_f_at_w
+        for name in ("eta_tilde_alpha", "eta_tilde"):
+            _require(getattr(self, name) >= 0, "strategy", name, "be nonnegative",
+                     getattr(self, name))
 
 
 def compute_prior_mean(strategy: PriorStrategy, w_local: np.ndarray,
@@ -163,14 +158,6 @@ def compute_prior_mean(strategy: PriorStrategy, w_local: np.ndarray,
 
 
 @dataclass
-class Tricks:
-    """Optional training add-ons: fine-tune before local testing, aggregation momentum."""
-
-    ft: bool = False
-    am: bool = False
-
-
-@dataclass
 class RunConfig:
     """Hyperparameters for one federated run.
 
@@ -184,6 +171,10 @@ class RunConfig:
                 inner gradient steps per proximal solve (K).
     sample_size / num_clients
                 participating clients per round (S) out of N total.
+    batch_size  examples per mini-batch (B).
+    ft          fine-tune each personalized model one full-batch step at
+                alpha before local testing.
+    am          aggregation momentum; requires beta == 2.
     """
 
     alpha_m: float = 0.01
@@ -197,7 +188,8 @@ class RunConfig:
     num_clients: int = 20
     batch_size: int = 20
     strategy: PriorStrategy = field(default_factory=PriorStrategy)
-    tricks: Tricks = field(default_factory=Tricks)
+    ft: bool = False
+    am: bool = False
     seed: int = 0
     track_deviations: bool = True
     track_weights: bool = False
@@ -213,13 +205,9 @@ class RunConfig:
         _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
         _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
         _require(self.beta > 0, "beta", "beta", "be positive", self.beta)
-        _require(not self.tricks.am or self.beta == 2.0, "am", "tricks.am",
+        _require(not self.am or self.beta == 2.0, "am", "am",
                  "have beta == 2 for aggregation momentum", self.beta)
         _require(self.seed >= 0, "seed", "seed", "be nonnegative", self.seed)
-
-    def prox_config(self) -> ProxConfig:
-        return ProxConfig(inner_steps=self.prox_steps, inner_step_size=self.alpha,
-                          batch_size=self.batch_size)
 
 
 @dataclass
@@ -289,7 +277,6 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
     model, and the envelope gradient of the last local step.
     """
     strategy = cfg.strategy
-    prox_cfg = cfg.prox_config()
     oracle = client.oracle
     w = w_global
     theta = client.theta
@@ -298,12 +285,12 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
     for r in range(cfg.local_steps):
         grad_w = grad_shifted = None
         if needs_grad:
-            idx = oracle.draw_batch(rng, cfg.batch_size)
+            idx = oracle.draw_batch(rng)
             grad_w = oracle.gradient(w, idx)
             if strategy.kind == "mh_variant":
-                grad_shifted = oracle.gradient(variant_shift_point(strategy, w, grad_w), idx)
+                grad_shifted = oracle.gradient(w - strategy.eta_tilde * grad_w, idx)
         mu = compute_prior_mean(strategy, w, grad_w, memorized, theta, grad_shifted)
-        theta = bregman_prox(mmap, cfg.lam, oracle, mu, prox_cfg, rng)
+        theta = bregman_prox(mmap, cfg.lam, oracle, mu, cfg.prox_steps, cfg.alpha, rng)
         env = envelope_gradient(mmap, cfg.lam, mu, theta)
         w = w - cfg.alpha_m * env
         _check_bounded(w, round_index, client.index, r)
@@ -318,7 +305,7 @@ def fedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig
     oracle = client.oracle
     w = w_global
     for r in range(cfg.local_steps):
-        idx = oracle.draw_batch(rng, cfg.batch_size)
+        idx = oracle.draw_batch(rng)
         w = w - cfg.alpha_m * oracle.gradient(w, idx)
         _check_bounded(w, round_index, client.index, r)
     return w
@@ -335,9 +322,9 @@ def perfedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunCon
     oracle = client.oracle
     w = w_global
     for r in range(cfg.local_steps):
-        idx_inner = oracle.draw_batch(rng, cfg.batch_size)
+        idx_inner = oracle.draw_batch(rng)
         inner = w - cfg.alpha * oracle.gradient(w, idx_inner)
-        idx_outer = oracle.draw_batch(rng, cfg.batch_size)
+        idx_outer = oracle.draw_batch(rng)
         w = w - cfg.alpha_m * oracle.gradient(inner, idx_outer)
         _check_bounded(w, round_index, client.index, r)
     return w
@@ -347,15 +334,15 @@ def perfedavg_personalize(client: ClientState, w_global: np.ndarray, cfg: RunCon
                           rng: np.random.Generator) -> np.ndarray:
     """Personalized model for evaluation: two fine-tune steps from the global model."""
     oracle = client.oracle
-    idx = oracle.draw_batch(rng, cfg.batch_size)
+    idx = oracle.draw_batch(rng)
     theta = w_global - cfg.alpha_m * oracle.gradient(w_global, idx)
-    idx = oracle.draw_batch(rng, cfg.batch_size)
+    idx = oracle.draw_batch(rng)
     return theta - cfg.alpha * oracle.gradient(theta, idx)
 
 
 def finetune_trick(theta: np.ndarray, oracle: LossOracle, step: float) -> np.ndarray:
     """One full-batch gradient step on the client's train split."""
-    if step < 0:
+    if not step >= 0:
         raise ValueError(f"step must be nonnegative, got {step}")
     return theta - step * oracle.gradient(theta, None)
 
@@ -375,9 +362,6 @@ def aggregate(w_old: np.ndarray, collected, beta: float) -> np.ndarray:
 class RunHistory:
     """Everything a run leaves behind for analysis."""
 
-    method: str
-    strategy: str | None
-    seed: int
     rounds: list
     final_global: np.ndarray
     final_thetas: list
@@ -501,8 +485,8 @@ class Evaluator:
         )
 
 
-def _run(method: str, strategy: str | None, cfg: RunConfig, dataset, partition, model,
-         local_update, personalize=None) -> RunHistory:
+def _run(cfg: RunConfig, dataset, partition, model, local_update,
+         personalize=None) -> RunHistory:
     """The round loop every method shares: sample, update locally, aggregate, personalize.
 
     ``local_update(client, w, rng, t)`` returns the client's local model and
@@ -517,7 +501,7 @@ def _run(method: str, strategy: str | None, cfg: RunConfig, dataset, partition, 
     w = model.init_params(init_rng(cfg.seed))
     clients = make_clients(dataset, partition, model, cfg.batch_size, w)
     evaluator = Evaluator(model, clients, dataset.num_classes,
-                          ft_step=cfg.alpha if cfg.tricks.ft else None,
+                          ft_step=cfg.alpha if cfg.ft else None,
                           track_deviations=cfg.track_deviations)
     rounds, trajectory = [], []
     for t in range(1, cfg.num_rounds + 1):
@@ -531,10 +515,8 @@ def _run(method: str, strategy: str | None, cfg: RunConfig, dataset, partition, 
         rounds.append(evaluator.compute(t, w, env_grads))
         if cfg.track_weights:
             trajectory.append(w)
-    return RunHistory(
-        method=method, strategy=strategy, seed=cfg.seed, rounds=rounds,
-        final_global=w, final_thetas=[c.theta for c in clients],
-        global_trajectory=trajectory if cfg.track_weights else None)
+    return RunHistory(rounds=rounds, final_global=w, final_thetas=[c.theta for c in clients],
+                      global_trajectory=trajectory if cfg.track_weights else None)
 
 
 def run_pfedbred(cfg: RunConfig, dataset, partition, model,
@@ -544,7 +526,7 @@ def run_pfedbred(cfg: RunConfig, dataset, partition, model,
         res = local_round(client, w, cfg, mmap, rng, round_index=t)
         return res.w_local, res.envelope_grad
 
-    return _run("pfedbred", cfg.strategy.kind, cfg, dataset, partition, model, update)
+    return _run(cfg, dataset, partition, model, update)
 
 
 def run_fedavg(cfg: RunConfig, dataset, partition, model) -> RunHistory:
@@ -556,7 +538,7 @@ def run_fedavg(cfg: RunConfig, dataset, partition, model) -> RunHistory:
         for c in clients:
             c.theta = w
 
-    return _run("fedavg", None, cfg, dataset, partition, model, update, personalize)
+    return _run(cfg, dataset, partition, model, update, personalize)
 
 
 def run_perfedavg_fo(cfg: RunConfig, dataset, partition, model) -> RunHistory:
@@ -569,4 +551,4 @@ def run_perfedavg_fo(cfg: RunConfig, dataset, partition, model) -> RunHistory:
             c.theta = perfedavg_personalize(c, w, cfg, eval_rng(cfg.seed, c.index, t))
             _check_bounded(c.theta, t, c.index)
 
-    return _run("perfedavg_fo", None, cfg, dataset, partition, model, update, personalize)
+    return _run(cfg, dataset, partition, model, update, personalize)

@@ -53,27 +53,6 @@ class MirrorMap:
     hess_g_conj_apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class ProxConfig:
-    """Inner-solver settings for the proximal step.
-
-    The proximal subproblem is solved approximately by a fixed number of
-    stochastic gradient steps at a constant step size.
-    """
-
-    inner_steps: int = 5
-    inner_step_size: float = 0.01
-    batch_size: int = 20
-
-    def __post_init__(self):
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
-        if not self.inner_step_size > 0.0:
-            raise ValueError(f"inner_step_size must be positive, got {self.inner_step_size}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
 def check_domain(name: str, x: np.ndarray, what: str = "point") -> None:
     """Raise DomainError when x falls outside the named open domain."""
     try:
@@ -125,13 +104,13 @@ def bregman_divergence_conjugate(mmap: MirrorMap, x, y) -> float:
     return conjugate_value(mmap, x) - conjugate_value(mmap, y) - float(mmap.grad_g_conj(y) @ (x - y))
 
 
-def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, cfg: ProxConfig,
+def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, steps: int, step_size: float,
                  rng: np.random.Generator) -> np.ndarray:
     """Approximate argmin_theta f(theta) + lam * D_{g*}(theta, mu).
 
-    Runs ``cfg.inner_steps`` stochastic gradient steps from ``mu`` at constant
-    step size, drawing one mini-batch per step from ``loss``.  ``loss`` must
-    expose ``draw_batch(rng, batch_size)`` and ``gradient(params, idx)``.
+    Runs ``steps`` stochastic gradient steps from ``mu`` at constant
+    ``step_size``, drawing one mini-batch per step from ``loss``.  ``loss``
+    must expose ``draw_batch(rng)`` and ``gradient(params, idx)``.
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -139,12 +118,12 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, cfg: ProxConfig,
     check_domain(mmap.dual_domain, mu, "mu")
     grad_ref = mmap.grad_g_conj(mu)
     theta = mu
-    for k in range(cfg.inner_steps):
-        idx = loss.draw_batch(rng, cfg.batch_size)
+    for k in range(steps):
+        idx = loss.draw_batch(rng)
         grad = loss.gradient(theta, idx) + lam * (mmap.grad_g_conj(theta) - grad_ref)
         if not np.isfinite(grad).all():
             raise NumericalError(f"non-finite proximal gradient at inner step {k}")
-        theta = theta - cfg.inner_step_size * grad
+        theta = theta - step_size * grad
         check_domain(mmap.dual_domain, theta, f"prox iterate at inner step {k}")
     return theta
 

@@ -145,13 +145,13 @@ def make_model(kind: str, num_features: int, num_classes: int):
 class LossOracle:
     """Mini-batch loss/gradient access to one client's view of a dataset.
 
-    ``draw_batch`` samples indices uniformly without replacement.  When the
-    requested batch covers the whole view it returns ``arange(n)`` without
-    consuming the generator, so full-batch runs are reproducible regardless
-    of how often batches are drawn.
+    ``draw_batch`` samples ``batch_size`` indices uniformly without
+    replacement.  When the batch covers the whole view it returns
+    ``arange(n)`` without consuming the generator, so full-batch runs are
+    reproducible regardless of how often batches are drawn.
     """
 
-    def __init__(self, model, features: np.ndarray, labels: np.ndarray, batch_size: int = 20):
+    def __init__(self, model, features: np.ndarray, labels: np.ndarray, batch_size: int):
         if features.ndim != 2:
             raise DimensionError(f"features must be 2-d, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -169,11 +169,10 @@ class LossOracle:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def draw_batch(self, rng: np.random.Generator, batch_size: int | None = None) -> np.ndarray:
-        size = self.batch_size if batch_size is None else batch_size
-        if size >= self.n:
+    def draw_batch(self, rng: np.random.Generator) -> np.ndarray:
+        if self.batch_size >= self.n:
             return np.arange(self.n)
-        return rng.choice(self.n, size=size, replace=False)
+        return rng.choice(self.n, size=self.batch_size, replace=False)
 
     def _select(self, idx):
         if idx is None:

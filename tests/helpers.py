@@ -19,7 +19,7 @@ class QuadraticLoss:
         self.a = np.asarray(a, dtype=np.float64)
         self.matrix = None if matrix is None else np.asarray(matrix, dtype=np.float64)
 
-    def draw_batch(self, rng, batch_size=None):
+    def draw_batch(self, rng):
         return np.arange(1)
 
     def value(self, params, idx=None):
@@ -50,7 +50,7 @@ def dnn_pre_activations(model, params, features):
 class ZeroLoss:
     """f identically zero; the prox should return its anchor unchanged."""
 
-    def draw_batch(self, rng, batch_size=None):
+    def draw_batch(self, rng):
         return np.arange(1)
 
     def value(self, params, idx=None):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pfedbred import (MIRROR_MAPS, SQUARED_NORM, Dataset, Dnn, Mclr, Partition,
-                      PriorStrategy, ProxConfig, RunConfig, aggregate,
+                      PriorStrategy, RunConfig, aggregate,
                       bregman_divergence, bregman_prox, envelope_gradient,
                       envelope_value, load_idx, loss_deviation, gce,
                       partition_dirichlet, partition_label_shard, run_fedavg,
@@ -70,22 +70,21 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
 
 def test_criterion_2_prox_oracle_and_envelope_identity(capsys):
     loss = QuadraticLoss([1.0, 0.0])
-    cfg = ProxConfig(inner_steps=200, inner_step_size=0.1, batch_size=1)
     rng = np.random.default_rng(0)
-    theta = bregman_prox(SQUARED_NORM, 1.0, loss, np.zeros(2), cfg, rng)
+    theta = bregman_prox(SQUARED_NORM, 1.0, loss, np.zeros(2), 200, 0.1, rng)
     prox_err = float(np.linalg.norm(theta - np.array([0.5, 0.0])))
 
     lam = 3.0
     mu = np.array([0.25, 0.5])
-    cfg2 = ProxConfig(inner_steps=200, inner_step_size=1.0 / (1.0 + lam), batch_size=1)
     loss2 = QuadraticLoss([1.0, -2.0])
 
-    def psi(m):
-        t = bregman_prox(SQUARED_NORM, lam, loss2, m, cfg2, rng)
-        return envelope_value(SQUARED_NORM, lam, loss2, m, t)
+    def prox(m):
+        return bregman_prox(SQUARED_NORM, lam, loss2, m, 200, 1.0 / (1.0 + lam), rng)
 
-    analytic = envelope_gradient(
-        SQUARED_NORM, lam, mu, bregman_prox(SQUARED_NORM, lam, loss2, mu, cfg2, rng))
+    def psi(m):
+        return envelope_value(SQUARED_NORM, lam, loss2, m, prox(m))
+
+    analytic = envelope_gradient(SQUARED_NORM, lam, mu, prox(mu))
     h = 1e-4
     fd_err = 0.0
     for i in range(2):

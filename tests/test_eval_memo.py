@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pfedbred import (DegenerateInputError, Mclr, PriorStrategy, RoundMetrics, RunConfig, Tricks,
+from pfedbred import (DegenerateInputError, Mclr, PriorStrategy, RoundMetrics, RunConfig,
                       fl, partition_label_shard, run_fedavg, run_perfedavg_fo, run_pfedbred,
                       synth_gaussian_mixture)
 from pfedbred.fl import finetune_trick
@@ -17,7 +17,7 @@ BASE = dict(alpha_m=0.05, alpha=0.05, lam=5.0, num_rounds=ROUNDS, local_steps=2,
 
 CASES = {
     "pfedbred": (run_pfedbred, dict(num_clients=40, sample_size=4)),
-    "pfedbred_ft": (run_pfedbred, dict(num_clients=40, sample_size=4, tricks=Tricks(ft=True))),
+    "pfedbred_ft": (run_pfedbred, dict(num_clients=40, sample_size=4, ft=True)),
     "fedavg": (run_fedavg, dict(num_clients=10, sample_size=3)),
     "perfedavg_fo": (run_perfedavg_fo, dict(num_clients=10, sample_size=3)),
 }
@@ -100,12 +100,12 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
         assert all(pooled <= s + 1 and local <= s for pooled, local, _, _ in calls[1:])
         # round 1 scores w, the S new thetas and the one initial theta every client shares
         # (with --ft, each client fine-tunes that theta into a model of its own)
-        assert calls[0][0] <= (n + 1 if cfg.tricks.ft else s + 2)
+        assert calls[0][0] <= (n + 1 if cfg.ft else s + 2)
         assert calls[0][1] == n
-        if not cfg.tricks.ft:
+        if not cfg.ft:
             # every local split here has one size, so one stacked call scores the shared theta
             assert calls[0][3] <= s + 1
-    if cfg.tricks.ft:
+    if cfg.ft:
         # a client's fine-tuned theta changes only when its theta does
         assert calls[0][2] == n
         assert all(finetunes <= s for _, _, finetunes, _ in calls[1:])

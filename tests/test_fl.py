@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pfedbred import (ClientState, ConfigError, DivergenceError, LossOracle, Mclr,
-                      PriorStrategy, RunConfig, SQUARED_NORM, Tricks, aggregate,
+                      PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
                       client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
                       init_rng, local_round, make_clients, perfedavg_local_round,
                       run_fedavg, run_pfedbred, run_perfedavg_fo, sample_clients)
@@ -68,6 +68,12 @@ def test_prior_strategy_validation():
         PriorStrategy(kind="lg", eta_alpha=-0.1)
     with pytest.raises(ConfigError):
         PriorStrategy(kind="mh_variant", eta_tilde=-1.0)
+
+
+@pytest.mark.parametrize("name", ["eta_tilde_alpha", "eta_tilde"])
+def test_prior_strategy_rejects_nan_lookahead(name):
+    with pytest.raises(ConfigError, match=rf"\({name}\) must be nonnegative, got nan"):
+        PriorStrategy(kind="mh_variant", **{name: float("nan")})
 
 
 def test_prior_mean_lg_example():
@@ -214,6 +220,50 @@ def test_local_round_mh_variant_reuses_strategy_batch():
     assert np.array_equal(res.w_local, expected_w)
 
 
+@pytest.mark.parametrize("kind", ["lg", "mh_variant"])
+def test_local_round_minibatch_stream_matches_written_out_loop(kind):
+    # a batch smaller than the train split consumes the generator; per local step the
+    # order is one strategy batch (reused by mh_variant's lookahead), then one per inner step
+    ds = two_blob_dataset(n_per_class=8, seed=5)
+    part = even_partition(ds, 1)
+    model = Mclr(ds.num_features, 2)
+    x, y = ds.features[part.train[0]], ds.labels[part.train[0]]
+    n, batch = x.shape[0], 4
+    assert batch < n
+    w0 = model.init_params(init_rng(0))
+    start = np.random.default_rng(1)
+    mem0 = w0 + 0.1 * start.normal(size=w0.size)
+    theta0 = w0 - 0.1 * start.normal(size=w0.size)
+    s = PriorStrategy(kind=kind, eta_alpha=0.02, eta=0.05)
+    cfg = RunConfig(alpha_m=0.05, alpha=0.02, lam=5.0, num_rounds=1, local_steps=3,
+                    prox_steps=2, sample_size=1, num_clients=1, batch_size=batch,
+                    strategy=s, seed=0)
+    client = make_clients(ds, part, model, batch, w0)[0]
+    client.memorized_local, client.theta = mem0, theta0
+    rng = np.random.default_rng(9)
+    res = local_round(client, w0, cfg, SQUARED_NORM, rng)
+
+    ref_rng = np.random.default_rng(9)
+    w, theta = w0, theta0
+    for _ in range(cfg.local_steps):
+        idx = ref_rng.choice(n, batch, replace=False)
+        g_w = model.grad(w, x[idx], y[idx])
+        if kind == "lg":
+            mu = w - s.eta_alpha * g_w
+        else:
+            g_shift = model.grad(w - s.eta_tilde * g_w, x[idx], y[idx])
+            mu = w - (s.eta * s.eta_tilde_alpha) * g_shift - s.eta * (mem0 - theta)
+        theta = mu
+        for _ in range(cfg.prox_steps):
+            idx = ref_rng.choice(n, batch, replace=False)
+            theta = theta - cfg.alpha * (model.grad(theta, x[idx], y[idx])
+                                         + cfg.lam * (theta - mu))
+        w = w - cfg.alpha_m * (cfg.lam * (mu - theta))
+    assert np.array_equal(res.w_local, w)
+    assert np.array_equal(res.theta, theta)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 * DIVERGENCE_LIMIT])
 def test_check_bounded_rejects_nonfinite_and_huge(bad):
     _check_bounded(np.array([0.0, -DIVERGENCE_LIMIT, DIVERGENCE_LIMIT]), 1, 0, 0)
@@ -256,8 +306,9 @@ def test_finetune_trick():
     assert np.array_equal(finetune_trick(theta, oracle, 0.0), theta)
     moved = finetune_trick(theta, oracle, 0.5)
     assert oracle.value(moved) < oracle.value(theta)
-    with pytest.raises(ValueError):
-        finetune_trick(theta, oracle, -0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            finetune_trick(theta, oracle, bad)
 
 
 def test_run_config_validation():
@@ -272,8 +323,8 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match="beta"):
         RunConfig(beta=-1.0).validate()
     with pytest.raises(ConfigError, match="momentum"):
-        RunConfig(tricks=Tricks(am=True), beta=1.0).validate()
-    RunConfig(tricks=Tricks(am=True), beta=2.0).validate()
+        RunConfig(am=True, beta=1.0).validate()
+    RunConfig(am=True, beta=2.0).validate()
 
 
 def small_run_config(**kwargs):
@@ -382,7 +433,7 @@ def test_fedavg_single_client_is_centralized_sgd():
         rng = client_rng(cfg.seed, 0, t)
         w_local = w.copy()
         for _ in range(3):
-            idx = oracle.draw_batch(rng, cfg.batch_size)
+            idx = oracle.draw_batch(rng)
             w_local = w_local - cfg.alpha_m * oracle.gradient(w_local, idx)
         w = aggregate(w, [w_local], cfg.beta)
     assert np.array_equal(hist.final_global, w)
@@ -459,6 +510,6 @@ def test_finetune_divergent_personalization_raises(blob_setup):
     # FedAvg's local steps use alpha_m; only the --ft step at alpha explodes
     ds, part, model = blob_setup
     with pytest.raises(DivergenceError, match="personalization") as err:
-        run_fedavg(small_run_config(alpha=1e12, tricks=Tricks(ft=True)), ds, part, model)
+        run_fedavg(small_run_config(alpha=1e12, ft=True), ds, part, model)
     assert err.value.round_index == 1
     assert err.value.step_index is None

@@ -71,7 +71,7 @@ def test_weighted_local_rejects_empty_test_split():
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)),
             (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
     train = (np.zeros((5, 1)), np.zeros(5, dtype=np.int64))
-    clients = [ClientState(index=i, oracle=LossOracle(model, *train), test_x=x, test_y=y,
+    clients = [ClientState(index=i, oracle=LossOracle(model, *train, 5), test_x=x, test_y=y,
                            theta=ALWAYS_ZERO, memorized_local=ALWAYS_ZERO)
                for i, (x, y) in enumerate(sets)]
     with pytest.raises(ConfigError, match="client 1"):

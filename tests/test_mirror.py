@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfedbred import (MIRROR_MAPS, SQUARED_NORM, DimensionError, DomainError, ProxConfig,
+from pfedbred import (MIRROR_MAPS, SQUARED_NORM, DimensionError, DomainError,
                       bregman_divergence, bregman_divergence_conjugate, bregman_prox,
                       conjugate_value, envelope_gradient, envelope_value,
                       get_mirror_map)
@@ -106,32 +106,29 @@ def test_hessian_apply_matches_grad_conj_jacobian():
 def test_prox_quadratic_reaches_closed_form():
     # argmin 0.5||t - a||^2 + 0.5||t||^2 = a / 2
     loss = QuadraticLoss([1.0, 0.0])
-    cfg = ProxConfig(inner_steps=200, inner_step_size=0.1, batch_size=1)
-    theta = bregman_prox(SQUARED_NORM, 1.0, loss, np.zeros(2), cfg, np.random.default_rng(0))
+    theta = bregman_prox(SQUARED_NORM, 1.0, loss, np.zeros(2), 200, 0.1, np.random.default_rng(0))
     assert np.linalg.norm(theta - np.array([0.5, 0.0])) <= 1e-6
 
 
 def test_prox_large_lam_collapses_to_anchor():
     loss = QuadraticLoss([1.0, 0.0])
     lam = 1e6
-    cfg = ProxConfig(inner_steps=5, inner_step_size=1.0 / (1.0 + lam), batch_size=1)
     mu = np.zeros(2)
-    theta = bregman_prox(SQUARED_NORM, lam, loss, mu, cfg, np.random.default_rng(0))
+    theta = bregman_prox(SQUARED_NORM, lam, loss, mu, 5, 1.0 / (1.0 + lam),
+                         np.random.default_rng(0))
     assert np.linalg.norm(theta - mu) <= 1e-5
 
 
 def test_prox_zero_loss_returns_anchor():
     mu = np.array([0.7, -0.3])
-    cfg = ProxConfig(inner_steps=17, inner_step_size=0.05, batch_size=1)
-    theta = bregman_prox(SQUARED_NORM, 2.0, loss=ZeroLoss(), mu=mu, cfg=cfg,
+    theta = bregman_prox(SQUARED_NORM, 2.0, loss=ZeroLoss(), mu=mu, steps=17, step_size=0.05,
                          rng=np.random.default_rng(0))
     assert np.array_equal(theta, mu)
 
 
 def test_prox_rejects_nonpositive_lam():
-    cfg = ProxConfig(inner_steps=1, inner_step_size=0.1, batch_size=1)
     with pytest.raises(ValueError):
-        bregman_prox(SQUARED_NORM, 0.0, QuadraticLoss([0.0]), np.zeros(1), cfg,
+        bregman_prox(SQUARED_NORM, 0.0, QuadraticLoss([0.0]), np.zeros(1), 1, 0.1,
                      np.random.default_rng(0))
 
 
@@ -140,9 +137,8 @@ def test_prox_reports_nonfinite_gradient_step():
         def gradient(self, params, idx=None):
             return np.array([np.nan])
 
-    cfg = ProxConfig(inner_steps=3, inner_step_size=0.1, batch_size=1)
     with pytest.raises(NumericalError, match="step 0"):
-        bregman_prox(SQUARED_NORM, 1.0, BadLoss(), np.zeros(1), cfg,
+        bregman_prox(SQUARED_NORM, 1.0, BadLoss(), np.zeros(1), 3, 0.1,
                      np.random.default_rng(0))
 
 
@@ -150,9 +146,8 @@ def test_prox_respects_dual_domain():
     # negative_log's dual domain is the negative orthant; a step that crosses
     # zero must be rejected rather than silently accepted.
     loss = QuadraticLoss([5.0])
-    cfg = ProxConfig(inner_steps=50, inner_step_size=1.0, batch_size=1)
     with pytest.raises(DomainError):
-        bregman_prox(MIRROR_MAPS["negative_log"], 0.1, loss, np.array([-0.01]), cfg,
+        bregman_prox(MIRROR_MAPS["negative_log"], 0.1, loss, np.array([-0.01]), 50, 1.0,
                      np.random.default_rng(0))
 
 
@@ -188,15 +183,14 @@ def test_envelope_gradient_matches_finite_differences():
     loss = QuadraticLoss([1.0, -2.0])
     lam = 3.0
     step = 1.0 / (1.0 + lam)  # one-step exact solve for this quadratic
-    cfg = ProxConfig(inner_steps=200, inner_step_size=step, batch_size=1)
     rng = np.random.default_rng(0)
     mu = np.array([0.25, 0.5])
 
     def psi(m):
-        t = bregman_prox(SQUARED_NORM, lam, loss, m, cfg, rng)
+        t = bregman_prox(SQUARED_NORM, lam, loss, m, 200, step, rng)
         return envelope_value(SQUARED_NORM, lam, loss, m, t)
 
-    theta = bregman_prox(SQUARED_NORM, lam, loss, mu, cfg, rng)
+    theta = bregman_prox(SQUARED_NORM, lam, loss, mu, 200, step, rng)
     analytic = envelope_gradient(SQUARED_NORM, lam, mu, theta)
     h = 1e-4
     for i in range(2):
@@ -213,26 +207,19 @@ def test_envelope_gradient_exact_for_every_map(name):
     mmap = MIRROR_MAPS[name]
     loss = QuadraticLoss([1.0, -2.0])
     lam = 3.0
-    cfg = ProxConfig(inner_steps=200, inner_step_size=1.0 / (1.0 + lam), batch_size=1)
     rng = np.random.default_rng(0)
     mu = np.array([0.25, 0.5])
 
-    def psi(m):
-        return envelope_value(mmap, lam, loss, m, bregman_prox(mmap, lam, loss, m, cfg, rng))
+    def prox(m):
+        return bregman_prox(mmap, lam, loss, m, 200, 1.0 / (1.0 + lam), rng)
 
-    analytic = envelope_gradient(mmap, lam, mu, bregman_prox(mmap, lam, loss, mu, cfg, rng))
+    def psi(m):
+        return envelope_value(mmap, lam, loss, m, prox(m))
+
+    analytic = envelope_gradient(mmap, lam, mu, prox(mu))
     h = 1e-4
     fd = np.array([(psi(mu + h * e) - psi(mu - h * e)) / (2 * h) for e in np.eye(2)])
     assert np.max(np.abs(fd - analytic)) <= 1e-7
-
-
-def test_prox_config_validation():
-    with pytest.raises(ValueError):
-        ProxConfig(inner_steps=0)
-    with pytest.raises(ValueError):
-        ProxConfig(inner_step_size=0.0)
-    with pytest.raises(ValueError):
-        ProxConfig(batch_size=0)
 
 
 def test_registry_lookup():

@@ -215,8 +215,6 @@ def test_oracle_minibatch_draws_without_replacement():
     assert idx.shape == (10,)
     assert len(np.unique(idx)) == 10
     assert idx.min() >= 0 and idx.max() < 30
-    # explicit size overrides the stored default
-    assert oracle.draw_batch(rng, 4).shape == (4,)
 
 
 def test_oracle_none_index_means_full_view():
@@ -224,7 +222,7 @@ def test_oracle_none_index_means_full_view():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 2))
     y = np.array([0, 0, 1, 1, 0, 1])
-    oracle = LossOracle(model, x, y)
+    oracle = LossOracle(model, x, y, batch_size=6)
     params = rng.normal(size=model.num_params)
     assert oracle.value(params, None) == pytest.approx(model.loss(params, x, y))
     assert np.array_equal(oracle.gradient(params, np.arange(6)),
@@ -234,9 +232,9 @@ def test_oracle_none_index_means_full_view():
 def test_oracle_validates_inputs():
     model = Mclr(2, 2)
     with pytest.raises(DimensionError):
-        LossOracle(model, np.zeros(4), np.zeros(4, dtype=np.int64))
+        LossOracle(model, np.zeros(4), np.zeros(4, dtype=np.int64), batch_size=1)
     with pytest.raises(DimensionError):
-        LossOracle(model, np.zeros((4, 2)), np.zeros(3, dtype=np.int64))
+        LossOracle(model, np.zeros((4, 2)), np.zeros(3, dtype=np.int64), batch_size=1)
     with pytest.raises(ValueError):
         LossOracle(model, np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size=0)
 
