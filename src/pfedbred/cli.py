@@ -205,7 +205,7 @@ class ExperimentSpec:
             prox_steps=self.prox_steps, sample_size=self.sample_size,
             num_clients=self.num_clients, batch_size=self.batch_size,
             strategy=PriorStrategy(kind=self.strategy, eta_alpha=self.eta_alpha, eta=self.eta),
-            ft=self.ft, am=self.am, seed=seed,
+            ft=self.ft, seed=seed,
             track_deviations=self.track_deviations)
 
 
@@ -257,6 +257,9 @@ def _build_spec(cfg: dict) -> ExperimentSpec:
         values["sample_size"] = max(1, round(0.2 * values["num_clients"]))
     if values["beta"] is None:
         values["beta"] = 2.0 if values["am"] else 1.0
+    elif values["am"] and values["beta"] != 2.0:
+        raise ConfigError(f"config key 'am' (aggregation momentum) needs beta == 2, "
+                          f"got beta {values['beta']!r}")
     spec = ExperimentSpec(**values)
     spec.run_config(spec.seed).validate()  # RunConfig and PriorStrategy check every other range
     return spec

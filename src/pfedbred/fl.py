@@ -165,7 +165,8 @@ class RunConfig:
     alpha       step size inside the proximal inner solver (and fine-tuning).
     lam         weight of the divergence term in the local objective.
     beta        server mixing weight; 1 replaces the global model with the
-                client average, 2 is the aggregation-momentum setting.
+                client average, 2 (aggregation momentum) steps to
+                2 * mean(w_i) - w_old.
     num_rounds / local_steps / prox_steps
                 communication rounds (T), local steps per round (R), and
                 inner gradient steps per proximal solve (K).
@@ -174,7 +175,6 @@ class RunConfig:
     batch_size  examples per mini-batch (B).
     ft          fine-tune each personalized model one full-batch step at
                 alpha before local testing.
-    am          aggregation momentum; requires beta == 2.
     """
 
     alpha_m: float = 0.01
@@ -189,7 +189,6 @@ class RunConfig:
     batch_size: int = 20
     strategy: PriorStrategy = field(default_factory=PriorStrategy)
     ft: bool = False
-    am: bool = False
     seed: int = 0
     track_deviations: bool = True
     track_weights: bool = False
@@ -205,8 +204,6 @@ class RunConfig:
         _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
         _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
         _require(self.beta > 0, "beta", "beta", "be positive", self.beta)
-        _require(not self.am or self.beta == 2.0, "am", "am",
-                 "have beta == 2 for aggregation momentum", self.beta)
         _require(self.seed >= 0, "seed", "seed", "be nonnegative", self.seed)
 
 

@@ -25,7 +25,6 @@ from .errors import DimensionError, DomainError, NumericalError
 _DOMAIN_CHECKS: dict[str, Callable[[np.ndarray], bool]] = {
     "reals": lambda x: bool(np.isfinite(x).all()),
     "positive": lambda x: bool(np.isfinite(x).all() and (x > 0.0).all()),
-    "negative": lambda x: bool(np.isfinite(x).all() and (x < 0.0).all()),
     "unit_interval": lambda x: bool(np.isfinite(x).all() and (x > 0.0).all() and (x < 1.0).all()),
 }
 
@@ -34,10 +33,12 @@ _DOMAIN_CHECKS: dict[str, Callable[[np.ndarray], bool]] = {
 class MirrorMap:
     """A convex potential with the callables needed by the proximal machinery.
 
+    Every registered conjugate g* is defined on all of the reals, where prox
+    iterates and prior means live, so those are checked only for finiteness.
+
     Attributes:
         name: registry key.
         domain: where g itself is defined ("reals", "positive", "unit_interval").
-        dual_domain: where g* is defined; prox iterates and prior means live here.
         eval_g: x -> g(x).
         grad_g: x -> grad g(x), the primal-to-dual map.
         grad_g_conj: s -> grad g*(s), the dual-to-primal map (inverse of grad_g).
@@ -46,7 +47,6 @@ class MirrorMap:
 
     name: str
     domain: str
-    dual_domain: str
     eval_g: Callable[[np.ndarray], float]
     grad_g: Callable[[np.ndarray], np.ndarray]
     grad_g_conj: Callable[[np.ndarray], np.ndarray]
@@ -78,7 +78,7 @@ def _check_same_shape(x: np.ndarray, y: np.ndarray) -> None:
 def conjugate_value(mmap: MirrorMap, s: np.ndarray) -> float:
     """Evaluate g*(s) through the Fenchel identity g*(s) = <s, x> - g(x) at x = grad g*(s)."""
     s = _as_vector(s, "dual point")
-    check_domain(mmap.dual_domain, s, "dual point")
+    check_domain("reals", s, "dual point")
     x = mmap.grad_g_conj(s)
     return float(s @ x) - float(mmap.eval_g(x))
 
@@ -114,8 +114,12 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, steps: int, step_size: f
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
+    if not steps >= 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 0.0 < step_size < np.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
     mu = _as_vector(mu, "mu")
-    check_domain(mmap.dual_domain, mu, "mu")
+    check_domain("reals", mu, "mu")
     grad_ref = mmap.grad_g_conj(mu)
     theta = mu
     for k in range(steps):
@@ -124,7 +128,7 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, steps: int, step_size: f
         if not np.isfinite(grad).all():
             raise NumericalError(f"non-finite proximal gradient at inner step {k}")
         theta = theta - step_size * grad
-        check_domain(mmap.dual_domain, theta, f"prox iterate at inner step {k}")
+        check_domain("reals", theta, f"prox iterate at inner step {k}")
     return theta
 
 
@@ -169,7 +173,6 @@ def _make_squared_norm() -> MirrorMap:
     return MirrorMap(
         name="squared_norm",
         domain="reals",
-        dual_domain="reals",
         eval_g=lambda x: 0.5 * float(x @ x),
         grad_g=lambda x: np.asarray(x, dtype=np.float64),
         grad_g_conj=lambda s: np.asarray(s, dtype=np.float64),
@@ -181,7 +184,6 @@ def _make_negative_entropy() -> MirrorMap:
     return MirrorMap(
         name="negative_entropy",
         domain="positive",
-        dual_domain="reals",
         eval_g=_neg_entropy,
         grad_g=lambda x: np.log(x) + 1.0,
         grad_g_conj=lambda s: np.exp(s - 1.0),
@@ -200,7 +202,6 @@ def _make_logistic() -> MirrorMap:
     return MirrorMap(
         name="logistic",
         domain="unit_interval",
-        dual_domain="reals",
         eval_g=eval_g,
         grad_g=lambda x: np.log(x) - np.log1p(-x),
         grad_g_conj=_sigmoid,
@@ -208,21 +209,9 @@ def _make_logistic() -> MirrorMap:
     )
 
 
-def _make_negative_log() -> MirrorMap:
-    return MirrorMap(
-        name="negative_log",
-        domain="positive",
-        dual_domain="negative",
-        eval_g=lambda x: float(-np.sum(np.log(x))),
-        grad_g=lambda x: -1.0 / x,
-        grad_g_conj=lambda s: -1.0 / s,
-        hess_g_conj_apply=lambda s, d: d / (s * s),
-    )
-
-
 MIRROR_MAPS: dict[str, MirrorMap] = {
     m.name: m
-    for m in (_make_squared_norm(), _make_negative_entropy(), _make_logistic(), _make_negative_log())
+    for m in (_make_squared_norm(), _make_negative_entropy(), _make_logistic())
 }
 
 SQUARED_NORM = MIRROR_MAPS["squared_norm"]

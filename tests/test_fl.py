@@ -322,9 +322,7 @@ def test_run_config_validation():
         RunConfig(lam=0.0).validate()
     with pytest.raises(ConfigError, match="beta"):
         RunConfig(beta=-1.0).validate()
-    with pytest.raises(ConfigError, match="momentum"):
-        RunConfig(am=True, beta=1.0).validate()
-    RunConfig(am=True, beta=2.0).validate()
+    RunConfig(beta=2.0).validate()
 
 
 def small_run_config(**kwargs):
@@ -360,6 +358,53 @@ def test_run_pfedbred_unit_composition(blob_setup):
     expected = aggregate(w0, [res.w_local], cfg.beta)
     assert np.array_equal(history.final_global, expected)
     assert np.array_equal(history.final_thetas[0], res.theta)
+
+
+def test_meg_whole_run_matches_written_out_loop():
+    # Three clients, S=2, T=3, beta=2 (--am): at seed 1 client 0 sits out round 2, so in
+    # round 3 its memorized model is the local model it returned in round 1.  Only the
+    # generator stream layout is shared with the trainer; the loop is written out here.
+    seed, T, R, K, S, N = 1, 3, 2, 3, 2, 3
+    lam, alpha, alpha_m, beta, eta, batch = 4.0, 0.05, 0.05, 2.0, 0.3, 6
+    ds = two_blob_dataset(n_per_class=15, seed=2)
+    part = even_partition(ds, N)
+    model = Mclr(ds.num_features, 2)
+    cfg = RunConfig(alpha_m=alpha_m, alpha=alpha, lam=lam, beta=beta, num_rounds=T,
+                    local_steps=R, prox_steps=K, sample_size=S, num_clients=N,
+                    batch_size=batch, strategy=PriorStrategy(kind="meg", eta=eta),
+                    seed=seed, track_deviations=False, track_weights=True)
+    history = run_pfedbred(cfg, ds, part, model)
+
+    w = np.random.default_rng(np.random.SeedSequence((seed, 0))).uniform(
+        -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), size=6)
+    train = [(ds.features[tr], ds.labels[tr]) for tr in part.train]
+    thetas, memorized = [w] * N, [w] * N
+    trajectory, rounds_sampled = [], []
+    for t in range(1, T + 1):
+        sampled = np.sort(np.random.default_rng(np.random.SeedSequence((seed, t, 1))).choice(
+            N, size=S, replace=False))
+        rounds_sampled.append(set(sampled.tolist()))
+        collected = []
+        for i in sampled:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, int(i), t, 2)))
+            x, y = train[i]
+            wl, th = w, thetas[i]
+            for _ in range(R):
+                mu = wl - eta * (memorized[i] - th)
+                th = mu
+                for _ in range(K):
+                    idx = rng.choice(len(x), size=batch, replace=False)
+                    th = th - alpha * (model.grad(th, x[idx], y[idx]) + lam * (th - mu))
+                wl = wl - alpha_m * (lam * (mu - th))
+            thetas[i], memorized[i] = th, wl
+            collected.append(wl)
+        w = (1.0 - beta) * w + beta * np.stack(collected).mean(axis=0)
+        trajectory.append(w)
+
+    assert 0 in rounds_sampled[0] - rounds_sampled[1] and 0 in rounds_sampled[2]
+    assert len(history.global_trajectory) == T
+    assert all(np.array_equal(a, b) for a, b in zip(history.global_trajectory, trajectory))
+    assert all(np.array_equal(a, b) for a, b in zip(history.final_thetas, thetas))
 
 
 def test_run_pfedbred_seed_sensitivity(blob_setup):

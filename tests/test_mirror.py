@@ -64,14 +64,10 @@ def test_divergence_nonnegative_all_maps(xs, ys):
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
 def test_conjugacy_round_trip(ss):
     s = np.array(ss)
-    for name in ("squared_norm", "negative_entropy", "logistic"):
-        mmap = MIRROR_MAPS[name]
+    for mmap in MIRROR_MAPS.values():
         x = mmap.grad_g_conj(s)
         back = mmap.grad_g(x)
         assert np.linalg.norm(back - s) <= 1e-8
-    neg = MIRROR_MAPS["negative_log"]
-    s_neg = -np.exp(s)  # dual domain is the negative orthant
-    assert np.linalg.norm(neg.grad_g(neg.grad_g_conj(s_neg)) - s_neg) <= 1e-8
 
 
 def test_conjugate_value_squared_norm_is_self():
@@ -132,6 +128,21 @@ def test_prox_rejects_nonpositive_lam():
                      np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("steps, step_size, match", [
+    (0, 0.1, "steps must be >= 1"),
+    (-1, 0.1, "steps must be >= 1"),
+    (3, 0.0, "step_size must be positive and finite"),
+    (3, -0.1, "step_size must be positive and finite"),
+    (3, np.inf, "step_size must be positive and finite"),
+    (3, np.nan, "step_size must be positive and finite"),
+])
+def test_prox_rejects_bad_steps_and_step_size(steps, step_size, match):
+    # zero steps would return mu unsolved, a negative step would ascend
+    with pytest.raises(ValueError, match=match):
+        bregman_prox(SQUARED_NORM, 1.0, QuadraticLoss([1.0, 0.0]), np.zeros(2), steps,
+                     step_size, np.random.default_rng(0))
+
+
 def test_prox_reports_nonfinite_gradient_step():
     class BadLoss(ZeroLoss):
         def gradient(self, params, idx=None):
@@ -143,11 +154,12 @@ def test_prox_reports_nonfinite_gradient_step():
 
 
 def test_prox_respects_dual_domain():
-    # negative_log's dual domain is the negative orthant; a step that crosses
-    # zero must be rejected rather than silently accepted.
+    # the gradient stays finite, but a huge step overflows the iterate to +inf,
+    # which must be rejected rather than carried into the next step
     loss = QuadraticLoss([5.0])
-    with pytest.raises(DomainError):
-        bregman_prox(MIRROR_MAPS["negative_log"], 0.1, loss, np.array([-0.01]), 50, 1.0,
+    with np.errstate(over="ignore"), pytest.raises(DomainError,
+                                                   match="prox iterate at inner step 0"):
+        bregman_prox(SQUARED_NORM, 0.1, loss, np.array([0.0]), 50, 1e308,
                      np.random.default_rng(0))
 
 
@@ -223,6 +235,7 @@ def test_envelope_gradient_exact_for_every_map(name):
 
 
 def test_registry_lookup():
+    assert sorted(MIRROR_MAPS) == ["logistic", "negative_entropy", "squared_norm"]
     assert get_mirror_map("squared_norm") is SQUARED_NORM
     with pytest.raises(KeyError, match="negative_entropy"):
         get_mirror_map("nope")
