@@ -104,8 +104,9 @@ def _as_synth(key: str, value) -> tuple:
         sep = float(parts[3])
     except ValueError:
         raise ConfigError(f"could not parse {key!r} value {value!r}") from None
-    if c < 2 or d < 1 or npc < 1 or sep < 0:
-        raise ConfigError(f"{key!r} values out of range: {value!r}")
+    if c < 2 or d < c or npc < 1 or not 0.0 <= sep < np.inf:
+        raise ConfigError(f"{key!r} values out of range: {value!r} (need CLASSES >= 2, "
+                          "DIMS >= CLASSES, PER_CLASS >= 1, finite SEPARATION >= 0)")
     return c, d, npc, sep
 
 

@@ -247,7 +247,7 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
 def _check_bounded(w: np.ndarray, round_index: int, client_index: int,
                    step_index: int | None = None) -> None:
     """Raise DivergenceError past DIVERGENCE_LIMIT; no step index means personalization."""
-    if not (np.abs(w) <= DIVERGENCE_LIMIT).all():
+    if not np.logical_and.reduce(np.abs(w) <= DIVERGENCE_LIMIT, axis=None):
         where = "personalization" if step_index is None else f"local step {step_index}"
         raise DivergenceError(
             f"parameters exceeded {DIVERGENCE_LIMIT:g} at round {round_index}, "

@@ -23,7 +23,7 @@ from .errors import DimensionError, DomainError, NumericalError
 
 # Domains are open sets; boundary points are rejected rather than clamped.
 _DOMAIN_CHECKS: dict[str, Callable[[np.ndarray], bool]] = {
-    "reals": lambda x: bool(np.isfinite(x).all()),
+    "reals": lambda x: bool(np.logical_and.reduce(np.isfinite(x), axis=None)),
     "positive": lambda x: bool(np.isfinite(x).all() and (x > 0.0).all()),
     "unit_interval": lambda x: bool(np.isfinite(x).all() and (x > 0.0).all() and (x < 1.0).all()),
 }
@@ -120,12 +120,12 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, steps: int, step_size: f
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     mu = _as_vector(mu, "mu")
     check_domain("reals", mu, "mu")
-    grad_ref = mmap.grad_g_conj(mu)
+    draw, gradient, grad_g_conj = loss.draw_batch, loss.gradient, mmap.grad_g_conj
+    grad_ref = grad_g_conj(mu)
     theta = mu
     for k in range(steps):
-        idx = loss.draw_batch(rng)
-        grad = loss.gradient(theta, idx) + lam * (mmap.grad_g_conj(theta) - grad_ref)
-        if not np.isfinite(grad).all():
+        grad = gradient(theta, draw(rng)) + lam * (grad_g_conj(theta) - grad_ref)
+        if not np.logical_and.reduce(np.isfinite(grad), axis=None):
             raise NumericalError(f"non-finite proximal gradient at inner step {k}")
         theta = theta - step_size * grad
         check_domain("reals", theta, f"prox iterate at inner step {k}")

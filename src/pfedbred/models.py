@@ -20,9 +20,9 @@ LEAKY_SLOPE = 0.01
 
 def _shift_exp_sum(logits: np.ndarray):
     """The softmax head's pass over the last axis: logits less their max, its exp, the exp's sum."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -37,18 +37,9 @@ def cross_entropy_and_softmax(logits: np.ndarray, labels: np.ndarray):
     return losses, e / total
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy with respect to the logits."""
-    n = logits.shape[0]
-    delta = softmax(logits)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    return delta
-
-
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    # .all() skips np.all's Python-level dispatch, a large share of this check on a small batch
-    if not np.isfinite(arr).all():
+    # the ufunc reduce skips the Python-level dispatch of .all(), a large share of a small check
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericalError(f"non-finite values in {what}")
 
 
@@ -71,6 +62,7 @@ class Network:
             self._layers.append((slice(offset, bias), (fan_out, fan_in), slice(bias, bias + fan_out)))
             offset = bias + fan_out
         self.num_params = offset
+        self._eye = np.eye(self.num_classes)  # one-hot rows of the labels
 
     def _unpack(self, params: np.ndarray) -> list:
         if params.shape != (self.num_params,):
@@ -108,14 +100,18 @@ class Network:
     def grad(self, params, features, labels) -> np.ndarray:
         layers = self._unpack(params)
         inputs, pres, out = self._forward(layers, features)
-        delta = cross_entropy_grad(out, labels)
-        parts = []  # bias then weight gradients from the last layer back: the layout reversed
+        _, e, total = _shift_exp_sum(out)
+        # d(mean cross-entropy)/d(logits); p - 0.0 is p, so the one-hot rows touch only the labels
+        delta = (e / total - self._eye[labels]) / out.shape[0]
+        g = np.empty(self.num_params)
         for i in range(len(layers) - 1, -1, -1):
-            parts += [delta.sum(axis=0), (delta.T @ inputs[i]).ravel()]
+            w, shape, b = self._layers[i]
+            np.add.reduce(delta, axis=0, out=g[b])
+            np.matmul(delta.T, inputs[i], out=g[w].reshape(shape))
             if i:
                 delta = (delta @ layers[i][0]) * np.where(pres[i - 1] > 0.0, 1.0,
                                                            self.negative_slope)
-        return np.concatenate(parts[::-1])
+        return g
 
 
 class Mclr(Network):

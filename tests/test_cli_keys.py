@@ -22,7 +22,7 @@ FLAGS = {"-h", "--help", "--config", "--dataset-idx", "--dataset-csv", "--synth"
 
 # a value other than the default for every key, as to_config writes it
 SAMPLES = {
-    "dataset_idx": "images.idx,labels.idx", "dataset_csv": "data.csv", "synth": "3,2,10,0.5",
+    "dataset_idx": "images.idx,labels.idx", "dataset_csv": "data.csv", "synth": "3,3,10,0.5",
     "partition": "dirichlet:0.3", "method": "fedavg", "strategy": "lg", "model": "dnn",
     "T": 7, "R": 3, "K": 4, "S": 3, "N": 9, "lambda": 2.5, "alpha_m": 0.2, "alpha": 0.3,
     "eta": 0.4, "eta_alpha": 0.5, "beta": 1.5, "batch": 7, "seed": 11, "repeats": 2,
@@ -33,6 +33,14 @@ OUT_OF_RANGE = {
     "T": 0, "R": 0, "K": 0, "N": 0, "S": 0, "lambda": 0.0, "alpha_m": -0.1, "alpha": 0.0,
     "eta": -1.0, "eta_alpha": -1.0, "beta": 0.0, "batch": 0, "seed": -1, "repeats": 0,
     "train_fraction": 1.0,
+}
+
+# CLASSES,DIMS,PER_CLASS,SEPARATION values that parse but fall outside their ranges;
+# test_cli::test_synth_parse_errors covers the ones that do not parse
+SYNTH_OUT_OF_RANGE = {
+    "one-class": "1,4,40,1.5", "no-examples": "4,4,0,1.5", "negative-separation": "4,4,40,-0.5",
+    "nan-separation": "4,4,40,nan", "inf-separation": "4,4,40,inf",
+    "dims-below-classes": "10,5,100,1.0",
 }
 
 SMALL_RUN = ["--synth", "4,4,30,1.0", "--partition", "label_shard:2", "--T", "2", "--N", "4",
@@ -71,6 +79,7 @@ FLOAT_KEYS = sorted(key.name for key in KEYS if key.coerce is cli._as_float)
 @pytest.mark.parametrize("name, value", [
     *(pytest.param(name, OUT_OF_RANGE[name], id=name) for name in sorted(OUT_OF_RANGE)),
     *(pytest.param(name, float("inf"), id=f"{name}-inf") for name in FLOAT_KEYS),
+    *(pytest.param("synth", value, id=f"synth-{case}") for case, value in SYNTH_OUT_OF_RANGE.items()),
 ])
 def test_out_of_range_value_names_its_key(name, value):
     with pytest.raises(ConfigError, match=f"'{name}'"):

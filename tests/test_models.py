@@ -119,6 +119,45 @@ def test_dnn_leaky_relu_negative_side_in_gradient():
     assert grad[0] == pytest.approx(fd, rel=1e-5)
 
 
+def edge_batches(x, y, model, params):
+    """Slices of the batch (x, y) that the bit-match tests cover, plus extreme rows.
+
+    Three rows of ``x`` scaled by 1e3 push some softmax entries to exact
+    zeros, on a label column and off it; a one-example batch is included too.
+    """
+    big = 1e3 * x[:3]
+    probs = softmax(model.logits(params, big))
+    assert (probs == 0.0).any() and (probs[np.arange(3), y[:3]] == 0.0).any()
+    return [(x, y), (x[:1], y[:1]), (big, y[:3]), (big[:1], y[:1])]
+
+
+def test_mclr_bit_matches_straight_line_softmax_regression():
+    # the textbook gradient of the mean cross-entropy of softmax(W x + b), with
+    # layout [W, b], written from scratch; every step must agree to the last bit
+    d, c = 6, 4
+    model = Mclr(d, c)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(9, d))
+    y = rng.integers(0, c, size=9)
+    params = 3.0 * model.init_params(np.random.default_rng(0))
+
+    def grad(p, xb, yb):
+        w, b = p[:c * d].reshape(c, d), p[c * d:]
+        out = xb @ w.T + b
+        e = np.exp(out - out.max(axis=1, keepdims=True))
+        delta = e / e.sum(axis=1, keepdims=True)
+        delta[np.arange(len(yb)), yb] -= 1.0
+        delta /= len(yb)
+        return np.concatenate([(delta.T @ xb).ravel(), delta.sum(axis=0)])
+
+    for xb, yb in edge_batches(x, y, model, params):
+        p = params
+        for _ in range(4):
+            g = grad(p, xb, yb)
+            assert np.array_equal(model.grad(p, xb, yb), g)
+            p = p - 0.5 * g
+
+
 def test_dnn_bit_matches_straight_line_two_layer_net():
     # layout [W1, b1, W2, b2] and the leaky-ReLU forward and backward pass,
     # written from scratch; every step must agree to the last bit
@@ -134,30 +173,32 @@ def test_dnn_bit_matches_straight_line_two_layer_net():
     params = model.init_params(np.random.default_rng(0))
     assert np.array_equal(params, np.concatenate([layer1, layer2]))
 
-    def forward(p):
+    def forward(p, xb):
         w1, b1 = p[:h * d].reshape(h, d), p[h * d:h * d + h]
         w2, b2 = p[h * d + h:h * d + h + c * h].reshape(c, h), p[h * d + h + c * h:]
-        pre = x @ w1.T + b1
+        pre = xb @ w1.T + b1
         act = np.where(pre > 0.0, pre, slope * pre)
         return w2, pre, act, act @ w2.T + b2
 
-    def grad(p):
-        w2, pre, act, out = forward(p)
+    def grad(p, xb, yb):
+        w2, pre, act, out = forward(p, xb)
         shifted = out - out.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         delta2 = e / e.sum(axis=1, keepdims=True)
-        delta2[np.arange(len(y)), y] -= 1.0
-        delta2 /= len(y)
+        delta2[np.arange(len(yb)), yb] -= 1.0
+        delta2 /= len(yb)
         delta1 = (delta2 @ w2) * np.where(pre > 0.0, 1.0, slope)
-        return np.concatenate([(delta1.T @ x).ravel(), delta1.sum(axis=0),
+        return np.concatenate([(delta1.T @ xb).ravel(), delta1.sum(axis=0),
                                (delta2.T @ act).ravel(), delta2.sum(axis=0)])
 
     params = 3.0 * params  # pre-activations on both sides of the kink
-    for _ in range(4):
-        assert np.array_equal(model.logits(params, x), forward(params)[3])
-        g = grad(params)
-        assert np.array_equal(model.grad(params, x, y), g)
-        params = params - 0.5 * g
+    for xb, yb in edge_batches(x, y, model, params):
+        p = params
+        for _ in range(4):
+            assert np.array_equal(model.logits(p, xb), forward(p, xb)[3])
+            g = grad(p, xb, yb)
+            assert np.array_equal(model.grad(p, xb, yb), g)
+            p = p - 0.5 * g
 
 
 def test_init_params_bounds_and_determinism():
