@@ -88,8 +88,9 @@ def _as_partition(key: str, value) -> tuple:
             alpha = float(param)
         except ValueError:
             raise ConfigError(f"dirichlet alpha must be a number, got {param!r}") from None
-        if not alpha > 0:
-            raise ConfigError(f"dirichlet alpha must be positive, got {alpha}")
+        if not 0 < alpha < np.inf:
+            raise ConfigError(f"config key {key!r} needs a positive, finite dirichlet alpha, "
+                              f"got {param!r}")
         return kind, alpha
     raise ConfigError(f"unknown partition kind {kind!r}; expected label_shard or dirichlet")
 

@@ -61,7 +61,6 @@ class Partition:
 
     train: tuple
     test: tuple
-    seed: int
 
     def __post_init__(self):
         if len(self.train) != len(self.test):
@@ -151,7 +150,7 @@ def partition_label_shard(dataset: Dataset, num_clients: int, classes_per_client
         tr, te = _split_train_test(idx, train_fraction, rng)
         train.append(tr)
         test.append(te)
-    return Partition(train=tuple(train), test=tuple(test), seed=seed)
+    return Partition(train=tuple(train), test=tuple(test))
 
 
 def _dirichlet_allocate(labels: np.ndarray, num_classes: int, num_clients: int,
@@ -200,8 +199,8 @@ def partition_dirichlet(dataset: Dataset, num_clients: int, alpha: float,
     sizes by moving surplus examples, trading some skew for balance.
     """
     _validate_partition_args(dataset, num_clients, train_fraction)
-    if not alpha > 0.0:
-        raise PartitionError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise PartitionError(f"alpha must be positive and finite, got {alpha}")
     if num_clients > dataset.n:
         raise PartitionError(f"{num_clients} clients exceed {dataset.n} examples")
 
@@ -226,7 +225,7 @@ def partition_dirichlet(dataset: Dataset, num_clients: int, alpha: float,
         tr, te = _split_train_test(idx, train_fraction, rng)
         train.append(tr)
         test.append(te)
-    return Partition(train=tuple(train), test=tuple(test), seed=seed)
+    return Partition(train=tuple(train), test=tuple(test))
 
 
 def _open_maybe_gzip(path):

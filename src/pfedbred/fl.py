@@ -7,6 +7,9 @@ proximal point of the local loss around mu, and finally takes a gradient step
 on the local copy of the global model using the envelope gradient
 lam * hess g*(mu) @ (mu - theta), which is lam * (mu - theta) for the
 squared-norm map.  The server aggregates the returned local models.
+``compute_prior_mean`` alone decides the prior: a strategy that shifts mu by
+a loss gradient draws its own mini-batch for it, before the proximal steps
+draw theirs.
 
 Reference baselines (FedAvg and a first-order meta-learning method that
 personalizes by fine-tuning) share the same sampling, batching, and
@@ -41,6 +44,8 @@ from .mirror import SQUARED_NORM, MirrorMap, bregman_prox, envelope_gradient
 from .models import LossOracle
 
 STRATEGY_KINDS = ("vanilla", "lg", "meg", "mh", "mh_variant")
+_GRADIENT_SHIFT = ("lg", "mh", "mh_variant")
+_MEMORY_SHIFT = ("meg", "mh", "mh_variant")
 
 DIVERGENCE_LIMIT = 1e8
 
@@ -52,8 +57,11 @@ TAG_EVAL = 3
 
 
 def _require(ok: bool, key: str, name: str, rule: str, value) -> None:
+    """Raise a ConfigError naming the key unless ``ok`` holds and ``value`` is finite."""
     if not ok:
         raise ConfigError(f"config key {key!r} ({name}) must {rule}, got {value!r}")
+    if not -np.inf < value < np.inf:  # an int compares exactly, however large
+        raise ConfigError(f"config key {key!r} ({name}) must be finite, got {value!r}")
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -124,37 +132,30 @@ class PriorStrategy:
                      getattr(self, name))
 
 
-def compute_prior_mean(strategy: PriorStrategy, w_local: np.ndarray,
-                       grad_f_at_w: np.ndarray | None = None,
-                       memorized_local: np.ndarray | None = None,
-                       theta_prev: np.ndarray | None = None,
-                       grad_f_at_shifted: np.ndarray | None = None) -> np.ndarray:
+def compute_prior_mean(strategy: PriorStrategy, oracle: LossOracle, w_local: np.ndarray,
+                       memorized_local: np.ndarray, theta_prev: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
     """Prior mean mu for one local step under the given strategy.
 
-    With eta_alpha == eta == 0 every strategy returns w_local unchanged.
+    A gradient-shift kind draws one batch from ``rng`` and takes the loss
+    gradient on it at w (mh_variant again at its lookahead point, on the same
+    batch); a memory-shift kind then subtracts eta * (memorized_local -
+    theta_prev).  vanilla draws nothing and returns w_local.  With
+    eta_alpha == eta == 0 every strategy returns w_local's values.
     """
     kind = strategy.kind
-    if kind == "vanilla":
-        return w_local
-    if kind == "lg":
-        if grad_f_at_w is None:
-            raise ValueError("lg needs grad_f_at_w")
-        return w_local - strategy.eta_alpha * grad_f_at_w
-    if kind == "meg":
-        if memorized_local is None or theta_prev is None:
-            raise ValueError("meg needs memorized_local and theta_prev")
-        return w_local - strategy.eta * (memorized_local - theta_prev)
-    if kind == "mh":
-        if grad_f_at_w is None or memorized_local is None or theta_prev is None:
-            raise ValueError("mh needs grad_f_at_w, memorized_local, and theta_prev")
-        return (w_local - strategy.eta_alpha * grad_f_at_w
-                - strategy.eta * (memorized_local - theta_prev))
-    if kind == "mh_variant":
-        if grad_f_at_shifted is None or memorized_local is None or theta_prev is None:
-            raise ValueError("mh_variant needs grad_f_at_shifted, memorized_local, and theta_prev")
-        return (w_local - (strategy.eta * strategy.eta_tilde_alpha) * grad_f_at_shifted
-                - strategy.eta * (memorized_local - theta_prev))
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    mu = w_local
+    if kind in _GRADIENT_SHIFT:
+        idx = oracle.draw_batch(rng)
+        grad = oracle.gradient(w_local, idx)
+        step = strategy.eta_alpha
+        if kind == "mh_variant":
+            grad = oracle.gradient(w_local - strategy.eta_tilde * grad, idx)
+            step = strategy.eta * strategy.eta_tilde_alpha
+        mu = w_local - step * grad
+    if kind in _MEMORY_SHIFT:
+        mu = mu - strategy.eta * (memorized_local - theta_prev)
+    return mu
 
 
 @dataclass
@@ -191,7 +192,6 @@ class RunConfig:
     ft: bool = False
     seed: int = 0
     track_deviations: bool = True
-    track_weights: bool = False
 
     def validate(self) -> None:
         """Check every range rule; each message names the config key and the field."""
@@ -255,45 +255,29 @@ def _check_bounded(w: np.ndarray, round_index: int, client_index: int,
             round_index=round_index, client_index=client_index, step_index=step_index)
 
 
-@dataclass
-class LocalRoundResult:
-    w_local: np.ndarray
-    theta: np.ndarray
-    envelope_grad: np.ndarray
-
-
 def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
                 mmap: MirrorMap, rng: np.random.Generator,
-                round_index: int = 0) -> LocalRoundResult:
+                round_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Run one client's local steps and update its persistent state.
 
-    Per local step, the generator is consumed in a fixed order: one batch for
-    the strategy's loss gradient when the strategy needs one (mh_variant
-    reuses that batch for its lookahead gradient), then one batch per inner
-    proximal step.  Returns the final local model, the final personalized
-    model, and the envelope gradient of the last local step.
+    Per local step, the generator is consumed in a fixed order: first by the
+    strategy's prior (``compute_prior_mean``), then one batch per inner
+    proximal step.  Stores the final personalized model as the client's theta
+    and the final local model as its memorized model, and returns the final
+    local model and the envelope gradient of the last local step.
     """
-    strategy = cfg.strategy
-    oracle = client.oracle
     w = w_global
     theta = client.theta
-    memorized = client.memorized_local
-    needs_grad = strategy.kind in ("lg", "mh", "mh_variant")
     for r in range(cfg.local_steps):
-        grad_w = grad_shifted = None
-        if needs_grad:
-            idx = oracle.draw_batch(rng)
-            grad_w = oracle.gradient(w, idx)
-            if strategy.kind == "mh_variant":
-                grad_shifted = oracle.gradient(w - strategy.eta_tilde * grad_w, idx)
-        mu = compute_prior_mean(strategy, w, grad_w, memorized, theta, grad_shifted)
-        theta = bregman_prox(mmap, cfg.lam, oracle, mu, cfg.prox_steps, cfg.alpha, rng)
+        mu = compute_prior_mean(cfg.strategy, client.oracle, w, client.memorized_local,
+                                theta, rng)
+        theta = bregman_prox(mmap, cfg.lam, client.oracle, mu, cfg.prox_steps, cfg.alpha, rng)
         env = envelope_gradient(mmap, cfg.lam, mu, theta)
         w = w - cfg.alpha_m * env
         _check_bounded(w, round_index, client.index, r)
     client.theta = theta
     client.memorized_local = w
-    return LocalRoundResult(w_local=w, theta=theta, envelope_grad=env)
+    return w, env
 
 
 def fedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
@@ -362,7 +346,6 @@ class RunHistory:
     rounds: list
     final_global: np.ndarray
     final_thetas: list
-    global_trajectory: list | None = None
 
 
 class _RoundMemo:
@@ -500,7 +483,7 @@ def _run(cfg: RunConfig, dataset, partition, model, local_update,
     evaluator = Evaluator(model, clients, dataset.num_classes,
                           ft_step=cfg.alpha if cfg.ft else None,
                           track_deviations=cfg.track_deviations)
-    rounds, trajectory = [], []
+    rounds = []
     for t in range(1, cfg.num_rounds + 1):
         sampled = sample_clients(cfg.seed, t, cfg.num_clients, cfg.sample_size)
         results = [local_update(clients[i], w, client_rng(cfg.seed, int(i), t), t)
@@ -510,18 +493,14 @@ def _run(cfg: RunConfig, dataset, partition, model, local_update,
             personalize(clients, w, t)
         env_grads = [g for _, g in results if g is not None]
         rounds.append(evaluator.compute(t, w, env_grads))
-        if cfg.track_weights:
-            trajectory.append(w)
-    return RunHistory(rounds=rounds, final_global=w, final_thetas=[c.theta for c in clients],
-                      global_trajectory=trajectory if cfg.track_weights else None)
+    return RunHistory(rounds=rounds, final_global=w, final_thetas=[c.theta for c in clients])
 
 
 def run_pfedbred(cfg: RunConfig, dataset, partition, model,
                  mmap: MirrorMap = SQUARED_NORM) -> RunHistory:
     """Full federated run with personalized Bregman-proximal local objectives."""
     def update(client, w, rng, t):
-        res = local_round(client, w, cfg, mmap, rng, round_index=t)
-        return res.w_local, res.envelope_grad
+        return local_round(client, w, cfg, mmap, rng, round_index=t)
 
     return _run(cfg, dataset, partition, model, update)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pfedbred import Dataset, Partition
+from pfedbred import Dataset, Partition, fl
 
 
 class QuadraticLoss:
@@ -71,8 +71,7 @@ def two_blob_dataset(n_per_class=30, dims=2, spread=2.0, seed=0) -> Dataset:
     return Dataset(features=features[order], labels=labels[order], num_classes=2)
 
 
-def even_partition(dataset: Dataset, num_clients: int, train_fraction=0.9,
-                   seed=0) -> Partition:
+def even_partition(dataset: Dataset, num_clients: int, train_fraction=0.9) -> Partition:
     """Deterministic contiguous split into equally sized clients."""
     blocks = np.array_split(np.arange(dataset.n), num_clients)
     train, test = [], []
@@ -80,4 +79,20 @@ def even_partition(dataset: Dataset, num_clients: int, train_fraction=0.9,
         cut = max(1, min(int(round(len(block) * train_fraction)), len(block) - 1))
         train.append(block[:cut])
         test.append(block[cut:])
-    return Partition(train=tuple(train), test=tuple(test), seed=seed)
+    return Partition(train=tuple(train), test=tuple(test))
+
+
+def record_global_models(monkeypatch) -> list:
+    """Patch ``fl.aggregate`` to append every round's new global model to the returned list.
+
+    The round loop looks ``aggregate`` up in ``fl``'s globals, so the patch sees each
+    server update, in order, without the trainer keeping a copy.
+    """
+    aggregate, trajectory = fl.aggregate, []
+
+    def recording(*args):
+        trajectory.append(aggregate(*args))
+        return trajectory[-1]
+
+    monkeypatch.setattr(fl, "aggregate", recording)
+    return trajectory

@@ -20,7 +20,7 @@ from pfedbred import (MIRROR_MAPS, SQUARED_NORM, Dataset, Dnn, Mclr, Partition,
                       run_pfedbred, savitzky_golay, synth_gaussian_mixture)
 from pfedbred.cli import parse_config, run_experiment
 
-from .helpers import QuadraticLoss, dnn_pre_activations
+from .helpers import QuadraticLoss, dnn_pre_activations, record_global_models
 
 MNIST_DIR = Path(__file__).resolve().parents[1] / "data" / "mnist"
 
@@ -100,18 +100,18 @@ def test_criterion_2_prox_oracle_and_envelope_identity(capsys):
     assert ok
 
 
-def toy_two_client_problem(seed=11):
+def toy_two_client_problem():
     rng = np.random.default_rng(100)
     means = np.array([[-1.5, 0.0], [1.5, 0.0]])
     labels = np.tile([0, 1], 30)
     features = means[labels] + rng.standard_normal((60, 2))
     ds = Dataset(features=features, labels=labels, num_classes=2)
     part = Partition(train=(np.arange(27), np.arange(30, 57)),
-                     test=(np.arange(27, 30), np.arange(57, 60)), seed=seed)
+                     test=(np.arange(27, 30), np.arange(57, 60)))
     return ds, part
 
 
-def test_criterion_3_vanilla_strategy_matches_independent_loop(capsys):
+def test_criterion_3_vanilla_strategy_matches_independent_loop(capsys, monkeypatch):
     """Straight-line reimplementation of the vanilla-prior trajectory.
 
     Two clients, two feature dimensions, T=3 rounds, R=2 local steps, K=2
@@ -120,12 +120,13 @@ def test_criterion_3_vanilla_strategy_matches_independent_loop(capsys):
     """
     seed, T, R, K = 11, 3, 2, 2
     lam, alpha, alpha_m, beta, batch = 2.0, 0.1, 0.05, 0.7, 10
-    ds, part = toy_two_client_problem(seed)
+    ds, part = toy_two_client_problem()
     model = Mclr(2, 2)
     cfg = RunConfig(alpha_m=alpha_m, alpha=alpha, lam=lam, beta=beta, num_rounds=T,
                     local_steps=R, prox_steps=K, sample_size=2, num_clients=2,
                     batch_size=batch, strategy=PriorStrategy(kind="vanilla"),
-                    seed=seed, track_deviations=False, track_weights=True)
+                    seed=seed, track_deviations=False)
+    global_models = record_global_models(monkeypatch)
     history = run_pfedbred(cfg, ds, part, model)
 
     def softmax_rows(z):
@@ -170,8 +171,8 @@ def test_criterion_3_vanilla_strategy_matches_independent_loop(capsys):
         w = (1.0 - beta) * w + beta * np.stack(collected).mean(axis=0)
         trajectory.append(w.copy())
 
-    same_traj = len(history.global_trajectory) == T and all(
-        np.array_equal(a, b) for a, b in zip(history.global_trajectory, trajectory))
+    same_traj = len(global_models) == T and all(
+        np.array_equal(a, b) for a, b in zip(global_models, trajectory))
     same_thetas = all(np.array_equal(a, b) for a, b in zip(history.final_thetas, thetas))
     ok = same_traj and same_thetas
     report(capsys, 3, ok,

@@ -78,6 +78,10 @@ def test_partition_parse_errors():
         parse_config(None, {"synth": "4,4,10,1.0", "partition": "label_shard"})
     with pytest.raises(ConfigError, match="alpha"):
         parse_config(None, {"synth": "4,4,10,1.0", "partition": "dirichlet:-1"})
+    for alpha in ("inf", "1e400", "nan"):
+        with pytest.raises(ConfigError, match=f"'partition' needs a positive, finite dirichlet "
+                                              f"alpha, got '{alpha}'"):
+            parse_config(None, {"synth": "4,4,10,1.0", "partition": f"dirichlet:{alpha}"})
     with pytest.raises(ConfigError, match="unknown partition"):
         parse_config(None, {"synth": "4,4,10,1.0", "partition": "iid:5"})
 

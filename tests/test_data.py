@@ -39,11 +39,10 @@ def test_dataset_validation():
 
 
 def test_partition_rejects_train_test_overlap():
-    Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([7]), np.arange(3)), seed=0)
-    Partition(train=(np.arange(3), np.array([])), test=(np.array([]), np.array([5])), seed=0)
+    Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([7]), np.arange(3)))
+    Partition(train=(np.arange(3), np.array([])), test=(np.array([]), np.array([5])))
     with pytest.raises(ValueError, match="client 1 has overlapping train/test indices"):
-        Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([4]), np.array([5, 4])),
-                  seed=0)
+        Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([4]), np.array([5, 4])))
 
 
 def test_label_shard_each_client_sees_exact_class_count(corpus):
@@ -160,8 +159,9 @@ def test_dirichlet_equalize_levels_sizes(corpus):
 
 
 def test_dirichlet_param_validation(corpus):
-    with pytest.raises(PartitionError):
-        partition_dirichlet(corpus, 10, 0.0, seed=0)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(PartitionError, match="alpha must be positive and finite"):
+            partition_dirichlet(corpus, 10, alpha, seed=0)
     with pytest.raises(PartitionError):
         partition_dirichlet(corpus, corpus.n + 1, 1.0, seed=0)
 

@@ -9,7 +9,7 @@ from pfedbred import (ClientState, ConfigError, DivergenceError, LossOracle, Mcl
 from pfedbred.errors import DimensionError
 from pfedbred.fl import DIVERGENCE_LIMIT, _check_bounded
 
-from .helpers import QuadraticLoss, even_partition, two_blob_dataset
+from .helpers import QuadraticLoss, even_partition, record_global_models, two_blob_dataset
 
 
 def quadratic_client(a, w0, index=0):
@@ -76,47 +76,43 @@ def test_prior_strategy_rejects_nan_lookahead(name):
         PriorStrategy(kind="mh_variant", **{name: float("nan")})
 
 
+def prior_mean(strategy, a, w, mem=None, theta=None):
+    # QuadraticLoss's gradient at w is w - a and its batch draws consume nothing
+    return compute_prior_mean(strategy, QuadraticLoss(a), w, mem, theta,
+                              np.random.default_rng(0))
+
+
 def test_prior_mean_lg_example():
     s = PriorStrategy(kind="lg", eta_alpha=0.01)
-    mu = compute_prior_mean(s, np.array([1.0, 1.0]), grad_f_at_w=np.array([0.2, -0.2]))
+    mu = prior_mean(s, np.array([0.8, 1.2]), np.array([1.0, 1.0]))  # gradient [0.2, -0.2]
     assert np.allclose(mu, [0.998, 1.002])
 
 
 def test_prior_mean_zero_steps_returns_w_for_every_kind():
     w = np.array([0.3, -0.7, 2.0])
-    grad = np.array([1.0, 1.0, 1.0])
+    a = np.array([-0.7, -1.7, 1.0])
     mem = np.array([0.5, 0.5, 0.5])
     theta = np.array([-0.5, 0.0, 0.5])
     for kind in ("vanilla", "lg", "meg", "mh", "mh_variant"):
         s = PriorStrategy(kind=kind, eta_alpha=0.0, eta=0.0)
-        mu = compute_prior_mean(s, w, grad_f_at_w=grad, memorized_local=mem,
-                                theta_prev=theta, grad_f_at_shifted=grad)
-        assert np.array_equal(mu, w)
+        assert np.array_equal(prior_mean(s, a, w, mem, theta), w)
 
 
 def test_prior_mean_mh_composes_lg_and_meg_shifts():
     rng = np.random.default_rng(8)
-    w, grad, mem, theta = rng.normal(size=(4, 6))
+    w, a, mem, theta = rng.normal(size=(4, 6))
     ea, e = 0.03, 0.07
-    mh = compute_prior_mean(PriorStrategy(kind="mh", eta_alpha=ea, eta=e), w,
-                            grad_f_at_w=grad, memorized_local=mem, theta_prev=theta)
-    lg = compute_prior_mean(PriorStrategy(kind="lg", eta_alpha=ea), w, grad_f_at_w=grad)
+    mh = prior_mean(PriorStrategy(kind="mh", eta_alpha=ea, eta=e), a, w, mem, theta)
+    lg = prior_mean(PriorStrategy(kind="lg", eta_alpha=ea), a, w)
     assert np.array_equal(mh, lg - e * (mem - theta))
-    meg_like = compute_prior_mean(PriorStrategy(kind="mh", eta_alpha=0.0, eta=e), w,
-                                  grad_f_at_w=grad, memorized_local=mem, theta_prev=theta)
-    meg = compute_prior_mean(PriorStrategy(kind="meg", eta=e), w,
-                             memorized_local=mem, theta_prev=theta)
+    assert np.array_equal(lg, w - ea * (w - a))
+    meg_like = prior_mean(PriorStrategy(kind="mh", eta_alpha=0.0, eta=e), a, w, mem, theta)
+    meg = prior_mean(PriorStrategy(kind="meg", eta=e), a, w, mem, theta)
     assert np.array_equal(meg_like, meg)
-
-
-def test_prior_mean_missing_inputs_raise():
-    with pytest.raises(ValueError, match="lg"):
-        compute_prior_mean(PriorStrategy(kind="lg"), np.zeros(2))
-    with pytest.raises(ValueError, match="meg"):
-        compute_prior_mean(PriorStrategy(kind="meg"), np.zeros(2))
-    with pytest.raises(ValueError, match="mh_variant"):
-        compute_prior_mean(PriorStrategy(kind="mh_variant"), np.zeros(2),
-                           grad_f_at_w=np.zeros(2))
+    s = PriorStrategy(kind="mh_variant", eta_alpha=ea, eta=e)
+    ahead = w - s.eta_tilde * (w - a)
+    assert np.array_equal(prior_mean(s, a, w, mem, theta),
+                          w - (e * s.eta_tilde_alpha) * (ahead - a) - e * (mem - theta))
 
 
 def test_local_round_matches_closed_form_single_step():
@@ -125,12 +121,12 @@ def test_local_round_matches_closed_form_single_step():
     w0 = np.array([3.0, 0.5])
     cfg = exact_prox_config(lam)
     client = quadratic_client(a, w0)
-    res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
+    w_local, env = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
     expected = w0 - cfg.alpha_m * lam / (1.0 + lam) * (w0 - a)
-    assert np.allclose(res.w_local, expected, atol=1e-12)
-    assert np.array_equal(res.envelope_grad, lam * (w0 - res.theta))
+    assert np.allclose(w_local, expected, atol=1e-12)
+    assert np.array_equal(env, lam * (w0 - client.theta))
     # prox pulled theta toward a
-    assert np.allclose(res.theta, (lam * w0 + a) / (1.0 + lam), atol=1e-12)
+    assert np.allclose(client.theta, (lam * w0 + a) / (1.0 + lam), atol=1e-12)
 
 
 def test_local_round_contracts_geometrically():
@@ -140,32 +136,31 @@ def test_local_round_contracts_geometrically():
     steps = 6
     cfg = exact_prox_config(lam, alpha_m=0.3, local_steps=steps)
     client = quadratic_client(a, w0)
-    res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
+    w_local, env = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
     rho = 1.0 - cfg.alpha_m * lam / (1.0 + lam)
-    assert np.allclose(res.w_local - a, rho ** steps * (w0 - a), atol=1e-12)
+    assert np.allclose(w_local - a, rho ** steps * (w0 - a), atol=1e-12)
     # the returned envelope gradient is the last step's, taken at vanilla mu = w
-    before = local_round(quadratic_client(a, w0), w0,
-                         exact_prox_config(lam, alpha_m=0.3, local_steps=steps - 1),
-                         SQUARED_NORM, np.random.default_rng(0)).w_local
-    assert np.array_equal(res.envelope_grad, lam * (before - res.theta))
+    before, _ = local_round(quadratic_client(a, w0), w0,
+                            exact_prox_config(lam, alpha_m=0.3, local_steps=steps - 1),
+                            SQUARED_NORM, np.random.default_rng(0))
+    assert np.array_equal(env, lam * (before - client.theta))
 
 
 def test_local_round_zero_alpha_m_keeps_w_but_updates_theta():
     cfg = exact_prox_config(3.0, alpha_m=0.0)
     w0 = np.array([1.0, 1.0])
     client = quadratic_client(np.zeros(2), w0)
-    res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
-    assert np.array_equal(res.w_local, w0)
-    assert not np.array_equal(res.theta, w0)
-    assert np.array_equal(client.theta, res.theta)
+    w_local, _ = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
+    assert np.array_equal(w_local, w0)
+    assert not np.array_equal(client.theta, w0)
 
 
 def test_local_round_updates_memorized_at_round_end():
     cfg = exact_prox_config(2.0, alpha_m=0.2, local_steps=3)
     w0 = np.array([1.5, -0.5])
     client = quadratic_client(np.zeros(2), w0)
-    res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
-    assert np.array_equal(client.memorized_local, res.w_local)
+    w_local, _ = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
+    assert np.array_equal(client.memorized_local, w_local)
 
 
 def test_local_round_meg_reads_memorized_snapshot():
@@ -181,7 +176,7 @@ def test_local_round_meg_reads_memorized_snapshot():
     client = quadratic_client(a, w0)
     client.memorized_local = mem0.copy()
     client.theta = theta0.copy()
-    res = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
+    w_local, _ = local_round(client, w0, cfg, SQUARED_NORM, np.random.default_rng(0))
 
     w, theta = w0.copy(), theta0.copy()
     step = 1.0 / (1.0 + lam)
@@ -190,8 +185,8 @@ def test_local_round_meg_reads_memorized_snapshot():
         theta = mu - step * ((mu - a) + lam * (mu - mu))
         env = lam * (mu - theta)
         w = w - cfg.alpha_m * env
-    assert np.array_equal(res.w_local, w)
-    assert np.array_equal(res.theta, theta)
+    assert np.array_equal(w_local, w)
+    assert np.array_equal(client.theta, theta)
 
 
 def test_local_round_mh_variant_reuses_strategy_batch():
@@ -206,7 +201,7 @@ def test_local_round_mh_variant_reuses_strategy_batch():
     cfg = RunConfig(alpha_m=0.05, alpha=0.02, lam=5.0, num_rounds=1, local_steps=1,
                     prox_steps=2, sample_size=1, num_clients=1, batch_size=100,
                     strategy=s, seed=0)
-    res = local_round(clients[0], w0, cfg, SQUARED_NORM, np.random.default_rng(9))
+    w_local, _ = local_round(clients[0], w0, cfg, SQUARED_NORM, np.random.default_rng(9))
 
     oracle = clients[0].oracle
     g_w = oracle.gradient(w0, None)
@@ -217,13 +212,14 @@ def test_local_round_mh_variant_reuses_strategy_batch():
     for _ in range(2):
         theta = theta - cfg.alpha * (oracle.gradient(theta, None) + cfg.lam * (theta - mu))
     expected_w = w0 - cfg.alpha_m * (cfg.lam * (mu - theta))
-    assert np.array_equal(res.w_local, expected_w)
+    assert np.array_equal(w_local, expected_w)
 
 
-@pytest.mark.parametrize("kind", ["lg", "mh_variant"])
+@pytest.mark.parametrize("kind", ["vanilla", "lg", "meg", "mh", "mh_variant"])
 def test_local_round_minibatch_stream_matches_written_out_loop(kind):
     # a batch smaller than the train split consumes the generator; per local step the
-    # order is one strategy batch (reused by mh_variant's lookahead), then one per inner step
+    # order is one strategy batch for a gradient-shift kind (reused by mh_variant's
+    # lookahead), then one per inner step
     ds = two_blob_dataset(n_per_class=8, seed=5)
     part = even_partition(ds, 1)
     model = Mclr(ds.num_features, 2)
@@ -241,15 +237,22 @@ def test_local_round_minibatch_stream_matches_written_out_loop(kind):
     client = make_clients(ds, part, model, batch, w0)[0]
     client.memorized_local, client.theta = mem0, theta0
     rng = np.random.default_rng(9)
-    res = local_round(client, w0, cfg, SQUARED_NORM, rng)
+    w_local, env = local_round(client, w0, cfg, SQUARED_NORM, rng)
 
     ref_rng = np.random.default_rng(9)
     w, theta = w0, theta0
     for _ in range(cfg.local_steps):
-        idx = ref_rng.choice(n, batch, replace=False)
-        g_w = model.grad(w, x[idx], y[idx])
-        if kind == "lg":
+        if kind in ("lg", "mh", "mh_variant"):
+            idx = ref_rng.choice(n, batch, replace=False)
+            g_w = model.grad(w, x[idx], y[idx])
+        if kind == "vanilla":
+            mu = w
+        elif kind == "lg":
             mu = w - s.eta_alpha * g_w
+        elif kind == "meg":
+            mu = w - s.eta * (mem0 - theta)
+        elif kind == "mh":
+            mu = w - s.eta_alpha * g_w - s.eta * (mem0 - theta)
         else:
             g_shift = model.grad(w - s.eta_tilde * g_w, x[idx], y[idx])
             mu = w - (s.eta * s.eta_tilde_alpha) * g_shift - s.eta * (mem0 - theta)
@@ -259,8 +262,10 @@ def test_local_round_minibatch_stream_matches_written_out_loop(kind):
             theta = theta - cfg.alpha * (model.grad(theta, x[idx], y[idx])
                                          + cfg.lam * (theta - mu))
         w = w - cfg.alpha_m * (cfg.lam * (mu - theta))
-    assert np.array_equal(res.w_local, w)
-    assert np.array_equal(res.theta, theta)
+    assert np.array_equal(w_local, w)
+    assert np.array_equal(env, cfg.lam * (mu - theta))
+    assert np.array_equal(client.theta, theta)
+    assert np.array_equal(client.memorized_local, w)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -325,6 +330,17 @@ def test_run_config_validation():
     RunConfig(beta=2.0).validate()
 
 
+@pytest.mark.parametrize("name", ["lam", "alpha", "alpha_m", "beta", "eta", "eta_alpha",
+                                  "eta_tilde_alpha", "eta_tilde"])
+def test_config_rejects_infinite_steps(name):
+    # each passed the range rule and failed mid-training with a different error
+    with pytest.raises(ConfigError, match=rf"\({name}\) must be finite, got inf"):
+        if name in ("lam", "alpha", "alpha_m", "beta"):
+            RunConfig(**{name: np.inf}).validate()
+        else:
+            PriorStrategy(kind="mh_variant", **{name: np.inf})
+
+
 def small_run_config(**kwargs):
     defaults = dict(alpha_m=0.05, alpha=0.05, lam=5.0, beta=1.0, num_rounds=3,
                     local_steps=2, prox_steps=2, sample_size=2, num_clients=2,
@@ -353,14 +369,14 @@ def test_run_pfedbred_unit_composition(blob_setup):
     w0 = model.init_params(init_rng(cfg.seed))
     clients = make_clients(ds, part, model, cfg.batch_size, w0)
     sample_clients(cfg.seed, 1, 1, 1)
-    res = local_round(clients[0], w0, cfg, SQUARED_NORM, client_rng(cfg.seed, 0, 1),
-                      round_index=1)
-    expected = aggregate(w0, [res.w_local], cfg.beta)
+    w_local, _ = local_round(clients[0], w0, cfg, SQUARED_NORM, client_rng(cfg.seed, 0, 1),
+                             round_index=1)
+    expected = aggregate(w0, [w_local], cfg.beta)
     assert np.array_equal(history.final_global, expected)
-    assert np.array_equal(history.final_thetas[0], res.theta)
+    assert np.array_equal(history.final_thetas[0], clients[0].theta)
 
 
-def test_meg_whole_run_matches_written_out_loop():
+def test_meg_whole_run_matches_written_out_loop(monkeypatch):
     # Three clients, S=2, T=3, beta=2 (--am): at seed 1 client 0 sits out round 2, so in
     # round 3 its memorized model is the local model it returned in round 1.  Only the
     # generator stream layout is shared with the trainer; the loop is written out here.
@@ -372,7 +388,8 @@ def test_meg_whole_run_matches_written_out_loop():
     cfg = RunConfig(alpha_m=alpha_m, alpha=alpha, lam=lam, beta=beta, num_rounds=T,
                     local_steps=R, prox_steps=K, sample_size=S, num_clients=N,
                     batch_size=batch, strategy=PriorStrategy(kind="meg", eta=eta),
-                    seed=seed, track_deviations=False, track_weights=True)
+                    seed=seed, track_deviations=False)
+    global_models = record_global_models(monkeypatch)
     history = run_pfedbred(cfg, ds, part, model)
 
     w = np.random.default_rng(np.random.SeedSequence((seed, 0))).uniform(
@@ -402,8 +419,8 @@ def test_meg_whole_run_matches_written_out_loop():
         trajectory.append(w)
 
     assert 0 in rounds_sampled[0] - rounds_sampled[1] and 0 in rounds_sampled[2]
-    assert len(history.global_trajectory) == T
-    assert all(np.array_equal(a, b) for a, b in zip(history.global_trajectory, trajectory))
+    assert len(global_models) == T
+    assert all(np.array_equal(a, b) for a, b in zip(global_models, trajectory))
     assert all(np.array_equal(a, b) for a, b in zip(history.final_thetas, thetas))
 
 
@@ -416,23 +433,16 @@ def test_run_pfedbred_seed_sensitivity(blob_setup):
     assert not np.array_equal(h1.final_global, h2.final_global)
 
 
-def test_run_pfedbred_tracks_weights_when_asked(blob_setup):
-    ds, part, model = blob_setup
-    hist = run_pfedbred(small_run_config(track_weights=True), ds, part, model)
-    assert hist.global_trajectory is not None
-    assert len(hist.global_trajectory) == 3
-    assert np.array_equal(hist.global_trajectory[-1], hist.final_global)
-    assert run_pfedbred(small_run_config(), ds, part, model).global_trajectory is None
-
-
 @pytest.mark.parametrize("runner", [run_pfedbred, run_fedavg, run_perfedavg_fo],
                          ids=lambda runner: runner.__name__)
-def test_run_returns_read_only_parameters(blob_setup, runner):
+def test_run_returns_read_only_parameters(blob_setup, runner, monkeypatch):
     # evaluation keys a model by its array object, so a write in place must raise
     # rather than leave a stale score; with S=1 a client may keep the initial vector
     ds, part, model = blob_setup
-    hist = runner(small_run_config(sample_size=1, track_weights=True), ds, part, model)
-    for params in [hist.final_global, *hist.final_thetas, *hist.global_trajectory]:
+    global_models = record_global_models(monkeypatch)
+    hist = runner(small_run_config(sample_size=1), ds, part, model)
+    assert len(global_models) == 3
+    for params in [hist.final_global, *hist.final_thetas, *global_models]:
         with pytest.raises(ValueError, match="read-only"):
             params[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -494,8 +504,8 @@ def test_fedavg_identical_clients_match_single_client():
     n = base.n
     cut = int(round(n * 0.9))
     part2 = Partition(train=(np.arange(cut), np.arange(n, n + cut)),
-                      test=(np.arange(cut, n), np.arange(n + cut, 2 * n)), seed=0)
-    part1 = Partition(train=(np.arange(cut),), test=(np.arange(cut, n),), seed=0)
+                      test=(np.arange(cut, n), np.arange(n + cut, 2 * n)))
+    part1 = Partition(train=(np.arange(cut),), test=(np.arange(cut, n),))
 
     model = Mclr(base.num_features, 2)
     big_batch = 1000  # larger than any train split: full-batch gradients
