@@ -79,20 +79,24 @@ def _as_partition(key: str, value) -> tuple:
         try:
             k = int(param)
         except ValueError:
-            raise ConfigError(f"label_shard class count must be an integer, got {param!r}") from None
+            raise ConfigError(f"config key {key!r} needs an integer label_shard class count, "
+                              f"got {param!r}") from None
         if k < 1:
-            raise ConfigError(f"label_shard class count must be >= 1, got {k}")
+            raise ConfigError(f"config key {key!r} needs a label_shard class count >= 1, "
+                              f"got {k}")
         return kind, k
     if kind == "dirichlet":
         try:
             alpha = float(param)
         except ValueError:
-            raise ConfigError(f"dirichlet alpha must be a number, got {param!r}") from None
+            raise ConfigError(f"config key {key!r} needs a numeric dirichlet alpha, "
+                              f"got {param!r}") from None
         if not 0 < alpha < np.inf:
             raise ConfigError(f"config key {key!r} needs a positive, finite dirichlet alpha, "
                               f"got {param!r}")
         return kind, alpha
-    raise ConfigError(f"unknown partition kind {kind!r}; expected label_shard or dirichlet")
+    raise ConfigError(f"config key {key!r}: unknown partition kind {kind!r}; "
+                      "expected label_shard or dirichlet")
 
 
 def _as_synth(key: str, value) -> tuple:

@@ -29,10 +29,34 @@ vector, and FedAvg's clients all hold the global model).  ``Evaluator``
 enforces the rule: it keys its memos by array identity and marks every array
 it keys read-only, so a write in place raises instead of serving a stale
 score.
+
+One piece of work runs on a second thread.  When one pooled-test-set forward
+costs at least WORKER_MIN_MULADDS multiply-adds (pooled rows x parameters),
+``Evaluator`` runs the pooled-set forward (``model.logits``) of each new array
+that evaluation will score there on one worker thread, started as soon as the
+array exists: the global model after aggregation, a theta after its client's
+local update or personalization, a fine-tuned theta once built.  The round
+loop evaluates round t after round t + 1's local updates and aggregation,
+from the thetas of the end of round t, so these forwards overlap training.
+No byte can move: the worker runs the same float operations on arrays
+already marked read-only, and ``Evaluator.compute`` uses its logits where the
+sequential loop scored that array, so an error from that forward surfaces
+there too; if round t + 1's training fails, round t is evaluated first, so
+its error is still the one raised.  A pooled forward is one large gemm that
+runs without the interpreter lock, so this thread pays where the removed
+per-client pool, whose many tiny calls hold the lock, did not.  Measured
+under one BLAS thread on 2 cores: idx784_perfedavg_dnn (600 x 79,510 =
+4.8e7) went from 5.3 to 8.2 rounds/s, while per-array jobs on the mclr
+workloads (at most 2,000 x 110 = 2.2e5) cost eval_wide_n400 12% and gained
+ablation_mclr nothing, so below the size no thread starts.  ``PFB_THREADS``
+stays ignored, and BLAS keeps its own thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +73,9 @@ _MEMORY_SHIFT = ("meg", "mh", "mh_variant")
 
 DIVERGENCE_LIMIT = 1e8
 
+# Pooled-set forwards of at least this many multiply-adds run on a worker thread (see above).
+WORKER_MIN_MULADDS = 10**7
+
 # Purpose tags keep the per-(seed, client, round) generator streams disjoint.
 TAG_INIT = 0
 TAG_SAMPLE = 1
@@ -62,6 +89,10 @@ def _require(ok: bool, key: str, name: str, rule: str, value) -> None:
         raise ConfigError(f"config key {key!r} ({name}) must {rule}, got {value!r}")
     if not -np.inf < value < np.inf:  # an int compares exactly, however large
         raise ConfigError(f"config key {key!r} ({name}) must be finite, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def init_rng(seed: int) -> np.random.Generator:
@@ -197,14 +228,16 @@ class RunConfig:
         """Check every range rule; each message names the config key and the field."""
         for key, name in (("T", "num_rounds"), ("R", "local_steps"), ("K", "prox_steps"),
                           ("N", "num_clients"), ("batch", "batch_size")):
-            _require(getattr(self, name) >= 1, key, name, "be >= 1", getattr(self, name))
-        _require(1 <= self.sample_size <= self.num_clients, "S", "sample_size",
-                 f"lie in [1, N={self.num_clients}]", self.sample_size)
+            value = getattr(self, name)
+            _require(_is_int(value) and value >= 1, key, name, "be an integer >= 1", value)
+        _require(_is_int(self.sample_size) and 1 <= self.sample_size <= self.num_clients, "S",
+                 "sample_size", f"be an integer in [1, N={self.num_clients}]", self.sample_size)
         _require(self.lam > 0, "lambda", "lam", "be positive", self.lam)
         _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
         _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
         _require(self.beta > 0, "beta", "beta", "be positive", self.beta)
-        _require(self.seed >= 0, "seed", "seed", "be nonnegative", self.seed)
+        _require(_is_int(self.seed) and self.seed >= 0, "seed", "seed",
+                 "be a nonnegative integer", self.seed)
 
 
 @dataclass
@@ -379,6 +412,16 @@ class _RoundMemo:
         self.previous, self.current = self.current, {}
 
 
+class _Forwarded:
+    """Stands in for the model in ``per_class_stats`` once the worker has run its forward."""
+
+    def __init__(self, future):
+        self.future = future
+
+    def logits(self, params, features):
+        return self.future.result()
+
+
 class Evaluator:
     """Per-round metric computation over a fixed client population.
 
@@ -389,6 +432,12 @@ class Evaluator:
     the ``--ft`` fine-tuned model of each client's theta; each holds only the arrays seen in
     the last two rounds, and makes every array it holds read-only.  The clients that miss
     the local memo are scored in one stacked pass per (array, split size).
+
+    Inside a ``with`` block, and only when one pooled-set forward costs at least
+    WORKER_MIN_MULADDS, ``start_pooled`` and ``start_personalized`` run the pooled-set
+    forward of a new array on one worker thread, and ``compute`` scores that array from the
+    worker's logits; leaving the block stops the worker.  Outside one, every forward runs
+    inline.
     """
 
     def __init__(self, model, clients: list[ClientState], num_classes: int,
@@ -405,21 +454,49 @@ class Evaluator:
         self._pooled = _RoundMemo()
         self._local = _RoundMemo()
         self._finetuned = _RoundMemo()
+        self._worker = None
+        self._forwards: dict = {}  # id(params) -> (params, future of its pooled-set logits)
 
-    def personalized_params(self, round_index: int) -> list:
-        if self.ft_step is None:
-            return [c.theta for c in self.clients]
-        return [self._finetuned.get(c.index, c.theta, self._finetune, c, round_index)
-                for c in self.clients]
+    def __enter__(self):
+        if self.global_x.shape[0] * self.model.num_params >= WORKER_MIN_MULADDS:
+            self._worker = ThreadPoolExecutor(max_workers=1)
+        return self
 
-    def _finetune(self, client: ClientState, round_index: int) -> np.ndarray:
-        theta = finetune_trick(client.theta, client.oracle, self.ft_step)
+    def __exit__(self, *exc_info):
+        if self._worker is not None:
+            self._worker.shutdown(cancel_futures=True)
+        self._worker = None
+        self._forwards.clear()
+
+    def start_pooled(self, params: np.ndarray) -> None:
+        """Start the pooled-set forward of a new array on the worker, if there is one."""
+        if self._worker is None or id(params) in self._forwards:
+            return
+        params.flags.writeable = False
+        # the copied context carries numpy's error state, so the worker warns as the caller would
+        job = self._worker.submit(contextvars.copy_context().run, self.model.logits, params,
+                                  self.global_x[None])
+        self._forwards[id(params)] = (params, job)
+
+    def start_personalized(self, theta: np.ndarray) -> None:
+        """``start_pooled`` for a new theta, when the theta itself is scored on the pooled set."""
+        if self.track_deviations and self.ft_step is None:
+            self.start_pooled(theta)
+
+    def _finetune(self, client: ClientState, theta: np.ndarray, round_index: int) -> np.ndarray:
+        theta = finetune_trick(theta, client.oracle, self.ft_step)
         _check_bounded(theta, round_index, client.index)
+        if self.track_deviations:
+            self.start_pooled(theta)
         return theta
 
     def _on_pooled(self, params: np.ndarray):
-        return self._pooled.get(None, params, per_class_stats, self.model, params,
-                                self.global_x, self.global_y, self.num_classes)
+        return self._pooled.get(None, params, self._score_pooled, params)
+
+    def _score_pooled(self, params: np.ndarray):
+        started = self._forwards.pop(id(params), None)
+        model = self.model if started is None else _Forwarded(started[1])
+        return per_class_stats(model, params, self.global_x, self.global_y, self.num_classes)
 
     def _on_local(self, thetas: list) -> list:
         results = [self._local.lookup(i, th) for i, th in enumerate(thetas)]
@@ -434,8 +511,19 @@ class Evaluator:
                 results[i] = self._local.get(i, thetas[i], tuple, (c[row] for c in stats))
         return results
 
-    def compute(self, round_index: int, w: np.ndarray, env_grads=None) -> RoundMetrics:
-        thetas = self.personalized_params(round_index)
+    def compute(self, round_index: int, w: np.ndarray, env_grads=None,
+                thetas=None) -> RoundMetrics:
+        """The round's metrics for global model ``w`` and one personalized model per client.
+
+        ``thetas`` defaults to the clients' current thetas; the round loop passes the ones
+        they held at the end of the round, since it evaluates a round after the next one's
+        training.
+        """
+        if thetas is None:
+            thetas = [c.theta for c in self.clients]
+        if self.ft_step is not None:
+            thetas = [self._finetuned.get(c.index, th, self._finetune, c, th, round_index)
+                      for c, th in zip(self.clients, thetas)]
         global_acc = self._on_pooled(w)[0]
         local = weigh_local(self._on_local(thetas), self.sizes)
         dev_global: dict[int, float] = {}
@@ -471,8 +559,9 @@ def _run(cfg: RunConfig, dataset, partition, model, local_update,
 
     ``local_update(client, w, rng, t)`` returns the client's local model and
     its last envelope gradient (None for methods without one).
-    ``personalize(clients, w, t)``, when given, sets every client's theta
-    after aggregation.
+    ``personalize(client, w, t)``, when given, returns each client's new theta
+    after aggregation.  Round t is evaluated after round t + 1's local updates
+    and aggregation (see the module docstring).
     """
     cfg.validate()
     if partition.num_clients != cfg.num_clients:
@@ -480,19 +569,30 @@ def _run(cfg: RunConfig, dataset, partition, model, local_update,
             f"partition has {partition.num_clients} clients, config expects {cfg.num_clients}")
     w = model.init_params(init_rng(cfg.seed))
     clients = make_clients(dataset, partition, model, cfg.batch_size, w)
-    evaluator = Evaluator(model, clients, dataset.num_classes,
-                          ft_step=cfg.alpha if cfg.ft else None,
-                          track_deviations=cfg.track_deviations)
-    rounds = []
-    for t in range(1, cfg.num_rounds + 1):
-        sampled = sample_clients(cfg.seed, t, cfg.num_clients, cfg.sample_size)
-        results = [local_update(clients[i], w, client_rng(cfg.seed, int(i), t), t)
-                   for i in sampled]
-        w = aggregate(w, [w_local for w_local, _ in results], cfg.beta)
-        if personalize is not None:
-            personalize(clients, w, t)
-        env_grads = [g for _, g in results if g is not None]
-        rounds.append(evaluator.compute(t, w, env_grads))
+    rounds, previous = [], None
+    with Evaluator(model, clients, dataset.num_classes, ft_step=cfg.alpha if cfg.ft else None,
+                   track_deviations=cfg.track_deviations) as evaluator:
+        for t in range(1, cfg.num_rounds + 1):
+            try:
+                sampled = sample_clients(cfg.seed, t, cfg.num_clients, cfg.sample_size)
+                results = []
+                for client in (clients[i] for i in sampled):
+                    theta, rng = client.theta, client_rng(cfg.seed, client.index, t)
+                    results.append(local_update(client, w, rng, t))
+                    if client.theta is not theta:
+                        evaluator.start_personalized(client.theta)
+                w = aggregate(w, [w_local for w_local, _ in results], cfg.beta)
+                evaluator.start_pooled(w)
+            finally:  # also when training failed: an error of round t - 1 is raised first
+                if previous is not None:
+                    rounds.append(evaluator.compute(*previous))
+            if personalize is not None:
+                for c in clients:
+                    c.theta = personalize(c, w, t)
+                    evaluator.start_personalized(c.theta)
+            previous = (t, w, [g for _, g in results if g is not None],
+                        [c.theta for c in clients])
+        rounds.append(evaluator.compute(*previous))
     return RunHistory(rounds=rounds, final_global=w, final_thetas=[c.theta for c in clients])
 
 
@@ -510,9 +610,8 @@ def run_fedavg(cfg: RunConfig, dataset, partition, model) -> RunHistory:
     def update(client, w, rng, t):
         return fedavg_local_round(client, w, cfg, rng, round_index=t), None
 
-    def personalize(clients, w, t):
-        for c in clients:
-            c.theta = w
+    def personalize(client, w, t):
+        return w
 
     return _run(cfg, dataset, partition, model, update, personalize)
 
@@ -522,9 +621,9 @@ def run_perfedavg_fo(cfg: RunConfig, dataset, partition, model) -> RunHistory:
     def update(client, w, rng, t):
         return perfedavg_local_round(client, w, cfg, rng, round_index=t), None
 
-    def personalize(clients, w, t):
-        for c in clients:
-            c.theta = perfedavg_personalize(c, w, cfg, eval_rng(cfg.seed, c.index, t))
-            _check_bounded(c.theta, t, c.index)
+    def personalize(client, w, t):
+        theta = perfedavg_personalize(client, w, cfg, eval_rng(cfg.seed, client.index, t))
+        _check_bounded(theta, t, client.index)
+        return theta
 
     return _run(cfg, dataset, partition, model, update, personalize)

@@ -84,6 +84,10 @@ def test_partition_parse_errors():
             parse_config(None, {"synth": "4,4,10,1.0", "partition": f"dirichlet:{alpha}"})
     with pytest.raises(ConfigError, match="unknown partition"):
         parse_config(None, {"synth": "4,4,10,1.0", "partition": "iid:5"})
+    # every message names the key
+    for value in ("label_shard:x", "label_shard:0", "dirichlet:abc", "iid:5"):
+        with pytest.raises(ConfigError, match="'partition'"):
+            parse_config(None, {"synth": "4,4,10,1.0", "partition": value})
 
 
 def test_synth_parse_errors():

@@ -1,32 +1,60 @@
-"""The evaluation memo: a memoized Evaluator scores exactly like scoring every model afresh."""
+"""The evaluation memo and the pooled-set worker: Evaluator scores exactly like scoring
+every model afresh, and the round loop raises and cleans up as the sequential loop did."""
 
 import dataclasses
+import json
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from pfedbred import (DegenerateInputError, Mclr, PriorStrategy, RoundMetrics, RunConfig,
-                      fl, partition_label_shard, run_fedavg, run_perfedavg_fo, run_pfedbred,
-                      synth_gaussian_mixture)
+from pfedbred import (DegenerateInputError, DivergenceError, Dnn, Mclr, NumericalError,
+                      PriorStrategy, RoundMetrics, RunConfig, fl, partition_label_shard,
+                      run_fedavg, run_perfedavg_fo, run_pfedbred, synth_gaussian_mixture)
+from pfedbred.cli import main
 from pfedbred.fl import finetune_trick
 from pfedbred.metrics import gce, loss_deviation, per_class_stats, stacked_class_stats
+from pfedbred.models import Network
+
+from .helpers import record_global_models
 
 ROUNDS = 4
 BASE = dict(alpha_m=0.05, alpha=0.05, lam=5.0, num_rounds=ROUNDS, local_steps=2, prox_steps=2,
             batch_size=5, seed=3, strategy=PriorStrategy(kind="mh"), track_deviations=True)
 
+# mclr on 4 features: a pooled forward far below fl.WORKER_MIN_MULADDS, scored inline.
+# dnn on 100 features: 1,200 pooled rows x 10,504 parameters, above it, so the worker runs.
+SMALL = dict(classes=4, dims=4, per_class=100)
+WIDE = dict(classes=4, dims=100, per_class=1500)
+
 CASES = {
-    "pfedbred": (run_pfedbred, dict(num_clients=40, sample_size=4)),
-    "pfedbred_ft": (run_pfedbred, dict(num_clients=40, sample_size=4, ft=True)),
-    "fedavg": (run_fedavg, dict(num_clients=10, sample_size=3)),
-    "perfedavg_fo": (run_perfedavg_fo, dict(num_clients=10, sample_size=3)),
+    "pfedbred": (run_pfedbred, dict(num_clients=40, sample_size=4), Mclr, SMALL),
+    "pfedbred_ft": (run_pfedbred, dict(num_clients=40, sample_size=4, ft=True), Mclr, SMALL),
+    "fedavg": (run_fedavg, dict(num_clients=10, sample_size=3), Mclr, SMALL),
+    "perfedavg_fo": (run_perfedavg_fo, dict(num_clients=10, sample_size=3), Mclr, SMALL),
+    "perfedavg_fo_dnn": (run_perfedavg_fo, dict(num_clients=10, sample_size=3), Dnn, WIDE),
+    "pfedbred_dnn": (run_pfedbred, dict(num_clients=10, sample_size=3), Dnn, WIDE),
+    "pfedbred_ft_dnn": (run_pfedbred, dict(num_clients=10, sample_size=3, ft=True), Dnn, WIDE),
 }
 
 
-def from_scratch(ev, round_index, w, env_grads) -> RoundMetrics:
+def record_forward_threads(model) -> list:
+    """Wrap ``model.logits``; the returned list says, per call, whether it ran off the main thread."""
+    off_main, logits = [], model.logits
+
+    def recording_logits(params, features):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return logits(params, features)
+
+    model.logits = recording_logits
+    return off_main
+
+
+def from_scratch(ev, round_index, w, env_grads, thetas) -> RoundMetrics:
     """The round's metrics with every theta fine-tuned and scored afresh on every set."""
-    thetas = [c.theta if ev.ft_step is None else finetune_trick(c.theta, c.oracle, ev.ft_step)
-              for c in ev.clients]
+    thetas = [th if ev.ft_step is None else finetune_trick(th, c.oracle, ev.ft_step)
+              for c, th in zip(ev.clients, thetas)]
     model, c = ev.model, ev.num_classes
     global_acc = per_class_stats(model, w, ev.global_x, ev.global_y, c)[0]
     local = [per_class_stats(model, th, x, y, c) for th, (x, y) in zip(thetas, ev.tests)]
@@ -54,11 +82,16 @@ def from_scratch(ev, round_index, w, env_grads) -> RoundMetrics:
 
 @pytest.mark.parametrize("name", CASES)
 def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
-    runner, overrides = CASES[name]
+    runner, overrides, model_class, data = CASES[name]
     cfg = RunConfig(**BASE, **overrides)
-    ds = synth_gaussian_mixture(4, 4, 100, 1.0, seed=0)
+    ds = synth_gaussian_mixture(*data.values(), 1.0, seed=0)
     part = partition_label_shard(ds, cfg.num_clients, 2, train_fraction=0.8, seed=0)
-    model = Mclr(ds.num_features, ds.num_classes)
+    model = model_class(ds.num_features, ds.num_classes)
+    wide = data is WIDE
+    pooled_rows = sum(te.size for te in part.test)
+    assert (pooled_rows * model.num_params >= fl.WORKER_MIN_MULADDS) == wide
+
+    off_main = record_forward_threads(model)
 
     # per round: [pooled-set calls, (client, array) pairs scored on local splits, fine-tunes,
     # stacked local-split calls] the evaluator made
@@ -80,11 +113,13 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
         return finetune_trick(theta, oracle, step)
 
     class Checked(fl.Evaluator):
-        def compute(self, round_index, w, env_grads=None):
+        def compute(self, round_index, w, env_grads=None, thetas=None):
+            # the round loop scores a round after the next one trains, from the round's thetas
+            assert thetas is not None
             pooled_x[:] = [self.global_x]
             calls.append([0, 0, 0, 0])
-            got = super().compute(round_index, w, env_grads)
-            want = from_scratch(self, round_index, w, env_grads)
+            got = super().compute(round_index, w, env_grads, thetas)
+            want = from_scratch(self, round_index, w, env_grads, thetas)
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
             return got
 
@@ -92,8 +127,12 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     monkeypatch.setattr(fl, "stacked_class_stats", counting_local)
     monkeypatch.setattr(fl, "finetune_trick", counting_finetune)
     monkeypatch.setattr(fl, "Evaluator", Checked)
+    threads = threading.active_count()
     runner(cfg, ds, part, model)
+    assert threading.active_count() == threads
     assert len(calls) == ROUNDS
+    # the worker runs exactly when one pooled forward is large enough
+    assert any(off_main) == wide
     s, n = cfg.sample_size, cfg.num_clients
     if runner is run_pfedbred:
         # only the sampled clients' thetas and w change after round 1
@@ -113,3 +152,83 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
         # every theta is w: one pooled-set evaluation and one stacked local call a round
         assert all(pooled == 1 and local == n and stacked == 1
                    for pooled, local, _, stacked in calls)
+
+
+# a dnn run whose pooled forward, 1,200 rows x 10,504 parameters, goes to the worker
+WIDE_RUN = ["--synth", "4,100,600,1.0", "--train-fraction", "0.5", "--model", "dnn",
+            "--T", "3", "--N", "4", "--S", "2", "--R", "1", "--K", "1", "--batch", "5"]
+
+
+@pytest.mark.parametrize("failure, error, message, where", [
+    ("forward", "NumericalError", "non-finite values in logits", (None, None, None)),
+    ("finetune", "DivergenceError",
+     "parameters exceeded 1e+08 at round 1, client 2, personalization", (1, 2, None)),
+])
+def test_round_error_wins_over_the_next_rounds_training_error(tmp_path, monkeypatch, capsys,
+                                                              failure, error, message, where):
+    # round 1's evaluation fails, and so does round 2's training, which now runs before round
+    # 1 is scored; the sequential loop raised round 1's error, and so must this one
+    global_models = record_global_models(monkeypatch)
+    raised_on = []
+    logits = Network.logits
+
+    def failing_logits(self, params, features):
+        if global_models and params is global_models[0] and features.shape[-2] == 1200:
+            raised_on.append(threading.current_thread())
+            raise NumericalError("non-finite values in logits")
+        return logits(self, params, features)
+
+    finetunes = []
+
+    def failing_finetune(theta, oracle, step):
+        finetunes.append(theta)
+        theta = finetune_trick(theta, oracle, step)
+        return theta + 1e9 if len(finetunes) == 3 else theta  # client 2 in round 1
+
+    trained = []
+    local_round = fl.local_round
+
+    def failing_local_round(client, w, cfg, mmap, rng, round_index=0):
+        trained.append(round_index)
+        if round_index == 2:
+            raise DivergenceError("injected", round_index=2, client_index=client.index,
+                                  step_index=0)
+        return local_round(client, w, cfg, mmap, rng, round_index)
+
+    if failure == "forward":
+        monkeypatch.setattr(Network, "logits", failing_logits)
+    else:
+        monkeypatch.setattr(fl, "finetune_trick", failing_finetune)
+    monkeypatch.setattr(fl, "local_round", failing_local_round)
+    threads = threading.active_count()
+    code = main(WIDE_RUN + (["--ft"] if failure == "finetune" else [])
+                + ["--out", str(tmp_path / "runs")])
+    assert threading.active_count() == threads
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}: {message}\n"
+    [run_dir] = (tmp_path / "runs").iterdir()
+    status = json.loads((run_dir / "status.json").read_text())
+    assert (status["error"], status["message"]) == (error, message)
+    assert (status["round"], status["client"], status["step"]) == where
+    assert 2 in trained
+    if failure == "forward":
+        [thread] = raised_on
+        assert thread is not threading.main_thread()
+
+
+def test_worker_forward_keeps_the_callers_numpy_error_state():
+    # numpy's error state is per context, and a new thread starts from the default one: a
+    # worker that did not carry the caller's would warn where the inline forward is silent
+    ds = synth_gaussian_mixture(*WIDE.values(), 1.0, seed=0)
+    part = partition_label_shard(ds, 10, 2, train_fraction=0.8, seed=0)
+    model = Dnn(ds.num_features, ds.num_classes)
+    clients = fl.make_clients(ds, part, model, 5, model.init_params(fl.init_rng(0)))
+    off_main = record_forward_threads(model)
+    overflowing = np.full(model.num_params, 1e300)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        with fl.Evaluator(model, clients, ds.num_classes) as evaluator:
+            evaluator.start_pooled(overflowing)
+            with pytest.raises(NumericalError, match="non-finite values in logits"):
+                evaluator.compute(1, overflowing)
+    assert off_main == [True]

@@ -328,6 +328,7 @@ def test_run_config_validation():
     with pytest.raises(ConfigError, match="beta"):
         RunConfig(beta=-1.0).validate()
     RunConfig(beta=2.0).validate()
+    RunConfig(num_rounds=np.int64(3), seed=np.int64(0)).validate()
 
 
 @pytest.mark.parametrize("name", ["lam", "alpha", "alpha_m", "beta", "eta", "eta_alpha",
@@ -339,6 +340,17 @@ def test_config_rejects_infinite_steps(name):
             RunConfig(**{name: np.inf}).validate()
         else:
             PriorStrategy(kind="mh_variant", **{name: np.inf})
+
+
+@pytest.mark.parametrize("key, name, value", [
+    ("T", "num_rounds", 2.5), ("R", "local_steps", 1.5), ("K", "prox_steps", 2.0),
+    ("N", "num_clients", 20.0), ("S", "sample_size", 1.5), ("batch", "batch_size", 2.5),
+    ("seed", "seed", 1.5), ("T", "num_rounds", True), ("seed", "seed", False),
+])
+def test_config_rejects_non_integer_counts(key, name, value):
+    # each passed the range rule and failed in training with a TypeError, or ran as an int
+    with pytest.raises(ConfigError, match=rf"'{key}' \({name}\) must be .*integer"):
+        RunConfig(**{name: value}).validate()
 
 
 def small_run_config(**kwargs):
