@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -31,8 +32,8 @@ import numpy as np
 from .data import (Dataset, load_csv, load_idx, partition_dirichlet,
                    partition_label_shard, synth_gaussian_mixture)
 from .errors import ConfigError, DivergenceError, DomainError, NumericalError
-from .fl import (STRATEGY_KINDS, PriorStrategy, RunConfig, run_fedavg, run_perfedavg_fo,
-                 run_pfedbred)
+from .fl import (STRATEGY_KINDS, PriorStrategy, RunConfig, _is_int, run_fedavg,
+                 run_perfedavg_fo, run_pfedbred)
 from .models import make_model
 
 RUNNERS = {"pfedbred": run_pfedbred, "fedavg": run_fedavg, "perfedavg_fo": run_perfedavg_fo}
@@ -41,13 +42,13 @@ MODELS = ("mclr", "dnn")
 
 
 def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return int(value)
 
 
 def _as_float(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     try:
         number = float(value)

@@ -26,9 +26,10 @@ updated one after another in sorted order.
 A parameter vector is never written in place: every update builds a new
 array, so arrays are shared freely (all clients start from the one initial
 vector, and FedAvg's clients all hold the global model).  ``Evaluator``
-enforces the rule: it keys its memos by array identity and marks every array
-it keys read-only, so a write in place raises instead of serving a stale
-score.
+relies on the rule, keeping a client's scores while the client holds the
+same array, and enforces it: it marks every theta it keeps, and every global
+model it scores, read-only, so a write in place raises instead of serving a
+stale score.
 
 One piece of work runs on a second thread.  When one pooled-test-set forward
 costs at least WORKER_MIN_MULADDS multiply-adds (pooled rows x parameters),
@@ -95,6 +96,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _require_sample_size(sample_size, num_clients) -> None:
+    _require(_is_int(sample_size) and 1 <= sample_size <= num_clients, "S", "sample_size",
+             f"be an integer in [1, N={num_clients}]", sample_size)
+
+
 def init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
 
@@ -115,8 +121,7 @@ def eval_rng(seed: int, client_index: int, round_index: int) -> np.random.Genera
 
 def sample_clients(seed: int, round_index: int, num_clients: int, sample_size: int) -> np.ndarray:
     """Choose the participating clients for one round, uniformly without replacement."""
-    if not 0 < sample_size <= num_clients:
-        raise ConfigError(f"sample_size must lie in (0, {num_clients}], got {sample_size}")
+    _require_sample_size(sample_size, num_clients)
     rng = sample_rng(seed, round_index)
     return np.sort(rng.choice(num_clients, size=sample_size, replace=False))
 
@@ -230,8 +235,7 @@ class RunConfig:
                           ("N", "num_clients"), ("batch", "batch_size")):
             value = getattr(self, name)
             _require(_is_int(value) and value >= 1, key, name, "be an integer >= 1", value)
-        _require(_is_int(self.sample_size) and 1 <= self.sample_size <= self.num_clients, "S",
-                 "sample_size", f"be an integer in [1, N={self.num_clients}]", self.sample_size)
+        _require_sample_size(self.sample_size, self.num_clients)
         _require(self.lam > 0, "lambda", "lam", "be positive", self.lam)
         _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
         _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
@@ -381,37 +385,6 @@ class RunHistory:
     final_thetas: list
 
 
-class _RoundMemo:
-    """Results by parameter array, kept for the arrays looked up this round and the last.
-
-    A key is (tag, id(params)); ``tag`` tells apart the same array scored on
-    different sets.  The memo holds a reference to every array it keys, so
-    the id cannot be reused while the key lives, and marks the array
-    read-only, so a write in place raises instead of serving a stale result.
-    """
-
-    def __init__(self):
-        self.previous: dict = {}
-        self.current: dict = {}
-
-    def lookup(self, tag, params: np.ndarray):
-        """The result stored for ``params`` under ``tag`` this round or the last, or None."""
-        key = (tag, id(params))
-        if key in self.previous:
-            self.current.setdefault(key, self.previous[key])
-        return self.current.get(key, (None, None))[1]
-
-    def get(self, tag, params: np.ndarray, fn, *args):
-        """The result stored for ``params`` under ``tag``, or ``fn(*args)`` stored for it."""
-        if self.lookup(tag, params) is None:
-            params.flags.writeable = False
-            self.current[(tag, id(params))] = (params, fn(*args))
-        return self.current[(tag, id(params))][1]
-
-    def end_round(self) -> None:
-        self.previous, self.current = self.current, {}
-
-
 class _Forwarded:
     """Stands in for the model in ``per_class_stats`` once the worker has run its forward."""
 
@@ -425,13 +398,15 @@ class _Forwarded:
 class Evaluator:
     """Per-round metric computation over a fixed client population.
 
-    Parameter arrays are never written in place, so an array already scored this round or
-    the previous one is not scored again: only the sampled clients' personalized models are
-    new arrays between rounds.  One memo covers the pooled test set (the global model and
-    every personalized model's deviation row), another each client's own split, and a third
-    the ``--ft`` fine-tuned model of each client's theta; each holds only the arrays seen in
-    the last two rounds, and makes every array it holds read-only.  The clients that miss
-    the local memo are scored in one stacked pass per (array, split size).
+    Parameter arrays are never written in place, so a client that still holds the theta it
+    held when last scored keeps its scores.  Each client has one slot: that theta, made
+    read-only, its model's scores on the client's own split and, when deviations are
+    tracked, its model's per-class loss on the pooled set; the model is the theta, or with
+    ``--ft`` its fine-tuned model.  ``compute`` fine-tunes and scores only the clients whose
+    theta is a new array (the sampled ones, or every client when personalization builds new
+    thetas), in one stacked pass per (array, split size) on their splits.  On the pooled
+    set it scores ``w`` and each distinct new array once per call, so an array several
+    clients hold (the initial vector in round 1, FedAvg's global model) is scored once.
 
     Inside a ``with`` block, and only when one pooled-set forward costs at least
     WORKER_MIN_MULADDS, ``start_pooled`` and ``start_personalized`` run the pooled-set
@@ -451,9 +426,8 @@ class Evaluator:
         self.global_y = np.concatenate([c.test_y for c in clients])
         self.tests = [(c.test_x, c.test_y) for c in clients]
         self.sizes = check_local_tests(self.tests)
-        self._pooled = _RoundMemo()
-        self._local = _RoundMemo()
-        self._finetuned = _RoundMemo()
+        # per client: (theta last scored, scores on its split, per-class loss on the pooled set)
+        self._slots = [(None, None, None)] * len(clients)
         self._worker = None
         self._forwards: dict = {}  # id(params) -> (params, future of its pooled-set logits)
 
@@ -490,25 +464,23 @@ class Evaluator:
             self.start_pooled(theta)
         return theta
 
-    def _on_pooled(self, params: np.ndarray):
-        return self._pooled.get(None, params, self._score_pooled, params)
-
     def _score_pooled(self, params: np.ndarray):
         started = self._forwards.pop(id(params), None)
         model = self.model if started is None else _Forwarded(started[1])
         return per_class_stats(model, params, self.global_x, self.global_y, self.num_classes)
 
-    def _on_local(self, thetas: list) -> list:
-        results = [self._local.lookup(i, th) for i, th in enumerate(thetas)]
+    def _on_local(self, models: dict) -> dict:
+        """Each model's scores on its client's split, by client index."""
         groups: dict = {}
-        for i in (i for i, result in enumerate(results) if result is None):
-            groups.setdefault((id(thetas[i]), self.sizes[i]), []).append(i)
+        for i, params in models.items():
+            groups.setdefault((id(params), self.sizes[i]), []).append(i)
+        results = {}
         for members in groups.values():  # a lone split goes as a view, a group is stacked
             x, y = (np.stack(column) if len(members) > 1 else column[0][None]
                     for column in zip(*(self.tests[i] for i in members)))
-            stats = stacked_class_stats(self.model, thetas[members[0]], x, y, self.num_classes)
+            stats = stacked_class_stats(self.model, models[members[0]], x, y, self.num_classes)
             for row, i in enumerate(members):
-                results[i] = self._local.get(i, thetas[i], tuple, (c[row] for c in stats))
+                results[i] = tuple(c[row] for c in stats)
         return results
 
     def compute(self, round_index: int, w: np.ndarray, env_grads=None,
@@ -521,21 +493,30 @@ class Evaluator:
         """
         if thetas is None:
             thetas = [c.theta for c in self.clients]
-        if self.ft_step is not None:
-            thetas = [self._finetuned.get(c.index, th, self._finetune, c, th, round_index)
-                      for c, th in zip(self.clients, thetas)]
-        global_acc = self._on_pooled(w)[0]
-        local = weigh_local(self._on_local(thetas), self.sizes)
+        models = {}  # client index -> the model to score, for each client with a new theta
+        for i, (th, slot) in enumerate(zip(thetas, self._slots)):
+            if th is not slot[0]:
+                th.flags.writeable = False
+                models[i] = (th if self.ft_step is None
+                             else self._finetune(self.clients[i], th, round_index))
+        w.flags.writeable = False  # RunHistory's arrays are read-only
+        pooled = {id(w): self._score_pooled(w)}  # pooled-set results of this call, by array
+        on_local = self._on_local(models)
+        for i, params in models.items():
+            if self.track_deviations and id(params) not in pooled:
+                pooled[id(params)] = self._score_pooled(params)
+            on_pooled = pooled[id(params)][2] if self.track_deviations else None
+            self._slots[i] = (thetas[i], on_local[i], on_pooled)
+        global_acc = pooled[id(w)][0]
+        local = weigh_local([slot[1] for slot in self._slots], self.sizes)
         dev_global: dict[int, float] = {}
         dev_local: dict[int, float] = {}
         if self.track_deviations:
-            on_global = np.stack([self._on_pooled(th)[2] for th in thetas])
+            on_global = np.stack([slot[2] for slot in self._slots])
             dg = loss_deviation(on_global, np.ones(len(self.clients)))
             dl = loss_deviation(local.per_class_loss, local.class_counts)
             dev_global = {c: float(dg[0, c]) for c in range(self.num_classes)}
             dev_local = {c: float(dl[0, c]) for c in range(self.num_classes)}
-        for memo in (self._pooled, self._local, self._finetuned):
-            memo.end_round()
         gce_value = None
         if env_grads is not None and len(env_grads) >= 2:
             try:

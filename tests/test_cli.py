@@ -119,6 +119,18 @@ def test_type_checks_name_keys():
         parse_config(None, dict(SYNTH, ft="yes"))
 
 
+def test_numeric_keys_accept_numpy_scalars():
+    # a float key takes any real number but a bool, as an integer key takes any integer
+    spec = parse_config(None, dict(SYNTH, T=np.int64(3), **{"lambda": np.int64(30)},
+                                   alpha=np.float32(0.5)))
+    assert (spec.num_rounds, spec.lam, spec.alpha) == (3, 30.0, 0.5)
+    assert type(spec.lam) is float and type(spec.num_rounds) is int
+    with pytest.raises(ConfigError, match="'lambda' must be a number"):
+        parse_config(None, dict(SYNTH, **{"lambda": np.True_}))
+    with pytest.raises(ConfigError, match="'lambda' must be a finite number"):
+        parse_config(None, dict(SYNTH, **{"lambda": np.float64("nan")}))
+
+
 def test_build_dataset_seeded_by_spec():
     a = build_dataset(parse_config(None, dict(SYNTH, seed=1)))
     b = build_dataset(parse_config(None, dict(SYNTH, seed=1)))

@@ -1,5 +1,6 @@
-"""The evaluation memo and the pooled-set worker: Evaluator scores exactly like scoring
-every model afresh, and the round loop raises and cleans up as the sequential loop did."""
+"""The per-client evaluation slots and the pooled-set worker: Evaluator scores exactly like
+scoring every model afresh, and the round loop raises and cleans up as the sequential loop
+did."""
 
 import dataclasses
 import json
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from pfedbred import (DegenerateInputError, DivergenceError, Dnn, Mclr, NumericalError,
-                      PriorStrategy, RoundMetrics, RunConfig, fl, partition_label_shard,
-                      run_fedavg, run_perfedavg_fo, run_pfedbred, synth_gaussian_mixture)
+                      PriorStrategy, RoundMetrics, RunConfig, fl, partition_dirichlet,
+                      partition_label_shard, run_fedavg, run_perfedavg_fo, run_pfedbred,
+                      synth_gaussian_mixture)
 from pfedbred.cli import main
 from pfedbred.fl import finetune_trick
 from pfedbred.metrics import gce, loss_deviation, per_class_stats, stacked_class_stats
@@ -28,14 +30,38 @@ BASE = dict(alpha_m=0.05, alpha=0.05, lam=5.0, num_rounds=ROUNDS, local_steps=2,
 SMALL = dict(classes=4, dims=4, per_class=100)
 WIDE = dict(classes=4, dims=100, per_class=1500)
 
+
+def label_shard(ds, num_clients):
+    """Local test splits of one size: 2 rows at N=40, 8 at N=10, 120 for WIDE."""
+    return partition_label_shard(ds, num_clients, 2, train_fraction=0.8, seed=0)
+
+
+def dirichlet(ds, num_clients):
+    """Ragged local test splits: 3, 8, 15, 1, 7, 11, 11, 1, 11, 12 rows for SMALL at N=10."""
+    return partition_dirichlet(ds, num_clients, 0.5, train_fraction=0.8, seed=0)
+
+
 CASES = {
-    "pfedbred": (run_pfedbred, dict(num_clients=40, sample_size=4), Mclr, SMALL),
-    "pfedbred_ft": (run_pfedbred, dict(num_clients=40, sample_size=4, ft=True), Mclr, SMALL),
-    "fedavg": (run_fedavg, dict(num_clients=10, sample_size=3), Mclr, SMALL),
-    "perfedavg_fo": (run_perfedavg_fo, dict(num_clients=10, sample_size=3), Mclr, SMALL),
-    "perfedavg_fo_dnn": (run_perfedavg_fo, dict(num_clients=10, sample_size=3), Dnn, WIDE),
-    "pfedbred_dnn": (run_pfedbred, dict(num_clients=10, sample_size=3), Dnn, WIDE),
-    "pfedbred_ft_dnn": (run_pfedbred, dict(num_clients=10, sample_size=3, ft=True), Dnn, WIDE),
+    "pfedbred": (run_pfedbred, dict(num_clients=40, sample_size=4), Mclr, SMALL, label_shard),
+    "pfedbred_ft": (run_pfedbred, dict(num_clients=40, sample_size=4, ft=True), Mclr, SMALL,
+                    label_shard),
+    "fedavg": (run_fedavg, dict(num_clients=10, sample_size=3), Mclr, SMALL, label_shard),
+    "perfedavg_fo": (run_perfedavg_fo, dict(num_clients=10, sample_size=3), Mclr, SMALL,
+                     label_shard),
+    "perfedavg_fo_dnn": (run_perfedavg_fo, dict(num_clients=10, sample_size=3), Dnn, WIDE,
+                         label_shard),
+    "pfedbred_dnn": (run_pfedbred, dict(num_clients=10, sample_size=3), Dnn, WIDE, label_shard),
+    "pfedbred_ft_dnn": (run_pfedbred, dict(num_clients=10, sample_size=3, ft=True), Dnn, WIDE,
+                        label_shard),
+    # several (array, split size) groups per shared array
+    "pfedbred_dirichlet": (run_pfedbred, dict(num_clients=10, sample_size=3), Mclr, SMALL,
+                           dirichlet),
+    "fedavg_dirichlet": (run_fedavg, dict(num_clients=10, sample_size=3), Mclr, SMALL,
+                         dirichlet),
+    # ablation_mclr's setting: no pooled-set scores of the personalized models
+    "pfedbred_no_deviations": (run_pfedbred, dict(num_clients=40, sample_size=4,
+                                                  track_deviations=False), Mclr, SMALL,
+                               label_shard),
 }
 
 
@@ -61,10 +87,14 @@ def from_scratch(ev, round_index, w, env_grads, thetas) -> RoundMetrics:
     accs, losses, per_class, counts = (np.array(column) for column in zip(*local))
     sizes = np.array([x.shape[0] for x, _ in ev.tests], dtype=np.float64)
     weights = sizes / sizes.sum()
-    on_global = np.stack([per_class_stats(model, th, ev.global_x, ev.global_y, c)[2]
-                          for th in thetas])
-    dg = loss_deviation(on_global, np.ones(len(thetas)))
-    dl = loss_deviation(per_class, counts)
+    dev_global, dev_local = {}, {}
+    if ev.track_deviations:
+        on_global = np.stack([per_class_stats(model, th, ev.global_x, ev.global_y, c)[2]
+                              for th in thetas])
+        dg = loss_deviation(on_global, np.ones(len(thetas)))
+        dl = loss_deviation(per_class, counts)
+        dev_global = {k: float(dg[0, k]) for k in range(c)}
+        dev_local = {k: float(dl[0, k]) for k in range(c)}
     try:
         gce_value = gce(env_grads) if len(env_grads) >= 2 else None
     except DegenerateInputError:
@@ -75,17 +105,20 @@ def from_scratch(ev, round_index, w, env_grads, thetas) -> RoundMetrics:
         personalized_acc_localtest=float(weights @ accs),
         mean_local_loss=float(weights @ losses),
         gce=gce_value,
-        per_class_deviation_global={k: float(dg[0, k]) for k in range(c)},
-        per_class_deviation_local={k: float(dl[0, k]) for k in range(c)},
+        per_class_deviation_global=dev_global,
+        per_class_deviation_local=dev_local,
     )
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
-    runner, overrides, model_class, data = CASES[name]
-    cfg = RunConfig(**BASE, **overrides)
+    runner, overrides, model_class, data, partition = CASES[name]
+    cfg = RunConfig(**{**BASE, **overrides})
     ds = synth_gaussian_mixture(*data.values(), 1.0, seed=0)
-    part = partition_label_shard(ds, cfg.num_clients, 2, train_fraction=0.8, seed=0)
+    part = partition(ds, cfg.num_clients)
+    # an array several clients hold is scored in one stacked call per local split size
+    split_sizes = len({te.size for te in part.test})
+    assert (split_sizes > 1) == (partition is dirichlet)
     model = model_class(ds.num_features, ds.num_classes)
     wide = data is WIDE
     pooled_rows = sum(te.size for te in part.test)
@@ -142,16 +175,20 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
         assert calls[0][0] <= (n + 1 if cfg.ft else s + 2)
         assert calls[0][1] == n
         if not cfg.ft:
-            # every local split here has one size, so one stacked call scores the shared theta
-            assert calls[0][3] <= s + 1
+            # one stacked call per split size scores the shared theta
+            assert calls[0][3] <= s + split_sizes
     if cfg.ft:
         # a client's fine-tuned theta changes only when its theta does
         assert calls[0][2] == n
         assert all(finetunes <= s for _, _, finetunes, _ in calls[1:])
     if runner is run_fedavg:
-        # every theta is w: one pooled-set evaluation and one stacked local call a round
-        assert all(pooled == 1 and local == n and stacked == 1
+        # every theta is w: one pooled-set evaluation and one stacked local call per split
+        # size a round
+        assert all(pooled == 1 and local == n and stacked == split_sizes
                    for pooled, local, _, stacked in calls)
+    if not cfg.track_deviations:
+        # only w is scored on the pooled set
+        assert all(pooled == 1 for pooled, _, _, _ in calls)
 
 
 # a dnn run whose pooled forward, 1,200 rows x 10,504 parameters, goes to the worker

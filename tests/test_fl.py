@@ -43,6 +43,11 @@ def test_sample_clients_validation():
         sample_clients(0, 0, 10, 0)
     with pytest.raises(ConfigError):
         sample_clients(0, 0, 10, 11)
+    # the rule RunConfig.validate applies, naming the config key
+    for sample_size in (5, 1.5, True):
+        with pytest.raises(ConfigError, match=r"config key 'S' \(sample_size\) must be an integer "
+                                              r"in \[1, N=4\]"):
+            sample_clients(0, 1, 4, sample_size)
 
 
 def test_rng_streams_are_disjoint():
