@@ -9,8 +9,7 @@ from .fl import (ClientState, Evaluator, PriorStrategy, RunConfig, RunHistory, a
                  init_rng, local_round, make_clients, perfedavg_local_round,
                  perfedavg_personalize, run_fedavg, run_perfedavg_fo, run_pfedbred,
                  sample_clients)
-from .metrics import (LocalTestResult, RoundMetrics, gce, loss_deviation, per_class_stats,
-                      savitzky_golay)
+from .metrics import RoundMetrics, gce, loss_deviation, per_class_stats, savitzky_golay
 from .mirror import (MIRROR_MAPS, SQUARED_NORM, MirrorMap, bregman_divergence,
                      bregman_divergence_conjugate, bregman_prox, conjugate_value,
                      envelope_gradient, envelope_value, get_mirror_map)
@@ -28,8 +27,7 @@ __all__ = [
     "init_rng", "local_round", "make_clients", "perfedavg_local_round",
     "perfedavg_personalize", "run_fedavg", "run_perfedavg_fo", "run_pfedbred",
     "sample_clients",
-    "LocalTestResult", "RoundMetrics", "gce", "loss_deviation", "per_class_stats",
-    "savitzky_golay",
+    "RoundMetrics", "gce", "loss_deviation", "per_class_stats", "savitzky_golay",
     "MIRROR_MAPS", "SQUARED_NORM", "MirrorMap", "bregman_divergence",
     "bregman_divergence_conjugate", "bregman_prox", "conjugate_value",
     "envelope_gradient", "envelope_value", "get_mirror_map",

@@ -9,9 +9,12 @@ under the output root containing the resolved config, one JSON-lines file of
 per-round metrics per repeat, and a CSV summarizing the final round across
 repeats.
 
-Repeats run one after another in this process.  Every repeat's partition
-is built before the directory is created, so a partition that cannot be
-built leaves no directory.  A run that fails in training, or on a config
+Repeats run one after another in this process.  They pin the OpenBLAS that
+numpy's wheels bundle to one thread: a matrix product split over threads can
+sum in another order, so the bytes written would depend on the thread count.
+Where that library is not found, they run unpinned and say so on stderr.
+Every repeat's partition is built before the directory is created, so a
+partition that cannot be built leaves no directory.  A run that fails in training, or on a config
 error found only there, also writes ``status.json`` into its directory,
 saying where and why it failed.
 """
@@ -19,6 +22,8 @@ saying where and why it failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import numbers
 import sys
@@ -31,9 +36,8 @@ import numpy as np
 
 from .data import (Dataset, load_csv, load_idx, partition_dirichlet,
                    partition_label_shard, synth_gaussian_mixture)
-from .errors import ConfigError, DivergenceError, DomainError, NumericalError
-from .fl import (STRATEGY_KINDS, PriorStrategy, RunConfig, _is_int, run_fedavg,
-                 run_perfedavg_fo, run_pfedbred)
+from .errors import ConfigError, DivergenceError, DomainError, NumericalError, is_int
+from .fl import STRATEGY_KINDS, PriorStrategy, RunConfig, run_fedavg, run_perfedavg_fo, run_pfedbred
 from .models import make_model
 
 RUNNERS = {"pfedbred": run_pfedbred, "fedavg": run_fedavg, "perfedavg_fo": run_perfedavg_fo}
@@ -42,7 +46,7 @@ MODELS = ("mclr", "dnn")
 
 
 def _as_int(key: str, value) -> int:
-    if not _is_int(value):
+    if not is_int(value):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -287,6 +291,26 @@ def build_partition(spec: ExperimentSpec, dataset: Dataset, seed: int):
     return split(dataset, spec.num_clients, param, train_fraction=spec.train_fraction, seed=seed)
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread (see above), restoring its count on exit."""
+    try:
+        [path] = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so")
+        lib = ctypes.CDLL(str(path))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ValueError, OSError, AttributeError):  # not a numpy wheel's OpenBLAS: run unpinned
+        print("warning: numpy's bundled OpenBLAS was not found; the bytes written may depend "
+              "on the BLAS thread count", file=sys.stderr)
+        yield
+        return
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _new_run_dir(root: Path) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     suffix = 0
@@ -316,15 +340,16 @@ def _round_record(m, repeat: int, seed: int, method: str, strategy) -> dict:
     }
 
 
+@_one_blas_thread()
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     """Run all repeats, write outputs, and return the created run directory.
 
-    Repeats run one after another.  ``workers`` is accepted for existing
-    callers and ignored: running repeats in parallel processes was measured
-    no faster for ``mclr`` and slower for ``dnn``, at about three times the
-    memory.  A ConfigError, DivergenceError, DomainError or NumericalError in
-    training writes ``status.json`` into the run directory before it
-    propagates.
+    Repeats run one after another, on one BLAS thread.  ``workers`` is
+    accepted for existing callers and ignored: running repeats in parallel
+    processes was measured no faster for ``mclr`` and slower for ``dnn``, at
+    about three times the memory.  A ConfigError, DivergenceError,
+    DomainError or NumericalError in training writes ``status.json`` into
+    the run directory before it propagates.
     """
     dataset = build_dataset(spec)
     partitions = [build_partition(spec, dataset, spec.seed + repeat)

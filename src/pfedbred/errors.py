@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one rule for integer arguments, shared across the package."""
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """True for an integer of any integral type except bool; 2.5, 2.0 and True are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class DimensionError(ValueError):

@@ -56,15 +56,15 @@ stays ignored, and BLAS keeps its own thread count.
 from __future__ import annotations
 
 import contextvars
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, DimensionError, DivergenceError
+from .errors import (ConfigError, DegenerateInputError, DimensionError, DivergenceError,
+                     is_int)
 from .metrics import (RoundMetrics, check_local_tests, gce, loss_deviation, per_class_stats,
-                      stacked_class_stats, weigh_local)
+                      stacked_class_stats)
 from .mirror import SQUARED_NORM, MirrorMap, bregman_prox, envelope_gradient
 from .models import LossOracle
 
@@ -92,12 +92,8 @@ def _require(ok: bool, key: str, name: str, rule: str, value) -> None:
         raise ConfigError(f"config key {key!r} ({name}) must be finite, got {value!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _require_sample_size(sample_size, num_clients) -> None:
-    _require(_is_int(sample_size) and 1 <= sample_size <= num_clients, "S", "sample_size",
+    _require(is_int(sample_size) and 1 <= sample_size <= num_clients, "S", "sample_size",
              f"be an integer in [1, N={num_clients}]", sample_size)
 
 
@@ -234,13 +230,13 @@ class RunConfig:
         for key, name in (("T", "num_rounds"), ("R", "local_steps"), ("K", "prox_steps"),
                           ("N", "num_clients"), ("batch", "batch_size")):
             value = getattr(self, name)
-            _require(_is_int(value) and value >= 1, key, name, "be an integer >= 1", value)
+            _require(is_int(value) and value >= 1, key, name, "be an integer >= 1", value)
         _require_sample_size(self.sample_size, self.num_clients)
         _require(self.lam > 0, "lambda", "lam", "be positive", self.lam)
         _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
         _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
         _require(self.beta > 0, "beta", "beta", "be positive", self.beta)
-        _require(_is_int(self.seed) and self.seed >= 0, "seed", "seed",
+        _require(is_int(self.seed) and self.seed >= 0, "seed", "seed",
                  "be a nonnegative integer", self.seed)
 
 
@@ -399,14 +395,15 @@ class Evaluator:
     """Per-round metric computation over a fixed client population.
 
     Parameter arrays are never written in place, so a client that still holds the theta it
-    held when last scored keeps its scores.  Each client has one slot: that theta, made
-    read-only, its model's scores on the client's own split and, when deviations are
-    tracked, its model's per-class loss on the pooled set; the model is the theta, or with
-    ``--ft`` its fine-tuned model.  ``compute`` fine-tunes and scores only the clients whose
-    theta is a new array (the sampled ones, or every client when personalization builds new
-    thetas), in one stacked pass per (array, split size) on their splits.  On the pooled
-    set it scores ``w`` and each distinct new array once per call, so an array several
-    clients hold (the initial vector in round 1, FedAvg's global model) is scored once.
+    held when last scored keeps its scores.  Per client it keeps that theta, made read-only,
+    and one row of each of five arrays: its model's accuracy, mean loss, per-class loss and
+    class counts on the client's own split and, when deviations are tracked, per-class loss
+    on the pooled set; the model is the theta, or with ``--ft`` its fine-tuned model.
+    ``compute`` fine-tunes and scores only the clients whose theta is a new array (the
+    sampled ones, or every client when personalization builds new thetas), in one stacked
+    pass per (array, split size) on their splits.  On the pooled set it scores ``w`` and
+    each distinct new array once per call, so an array several clients hold (the initial
+    vector in round 1, FedAvg's global model) is scored once.
 
     Inside a ``with`` block, and only when one pooled-set forward costs at least
     WORKER_MIN_MULADDS, ``start_pooled`` and ``start_personalized`` run the pooled-set
@@ -426,8 +423,10 @@ class Evaluator:
         self.global_y = np.concatenate([c.test_y for c in clients])
         self.tests = [(c.test_x, c.test_y) for c in clients]
         self.sizes = check_local_tests(self.tests)
-        # per client: (theta last scored, scores on its split, per-class loss on the pooled set)
-        self._slots = [(None, None, None)] * len(clients)
+        self._scored = [None] * len(clients)
+        n, c = len(clients), num_classes  # the five row arrays, in the order above
+        self._rows = (np.zeros(n), np.zeros(n), np.zeros((n, c)), np.zeros((n, c)),
+                      np.zeros((n, c)))
         self._worker = None
         self._forwards: dict = {}  # id(params) -> (params, future of its pooled-set logits)
 
@@ -469,20 +468,6 @@ class Evaluator:
         model = self.model if started is None else _Forwarded(started[1])
         return per_class_stats(model, params, self.global_x, self.global_y, self.num_classes)
 
-    def _on_local(self, models: dict) -> dict:
-        """Each model's scores on its client's split, by client index."""
-        groups: dict = {}
-        for i, params in models.items():
-            groups.setdefault((id(params), self.sizes[i]), []).append(i)
-        results = {}
-        for members in groups.values():  # a lone split goes as a view, a group is stacked
-            x, y = (np.stack(column) if len(members) > 1 else column[0][None]
-                    for column in zip(*(self.tests[i] for i in members)))
-            stats = stacked_class_stats(self.model, models[members[0]], x, y, self.num_classes)
-            for row, i in enumerate(members):
-                results[i] = tuple(c[row] for c in stats)
-        return results
-
     def compute(self, round_index: int, w: np.ndarray, env_grads=None,
                 thetas=None) -> RoundMetrics:
         """The round's metrics for global model ``w`` and one personalized model per client.
@@ -494,27 +479,34 @@ class Evaluator:
         if thetas is None:
             thetas = [c.theta for c in self.clients]
         models = {}  # client index -> the model to score, for each client with a new theta
-        for i, (th, slot) in enumerate(zip(thetas, self._slots)):
-            if th is not slot[0]:
+        for i, (th, scored) in enumerate(zip(thetas, self._scored)):
+            if th is not scored:
                 th.flags.writeable = False
                 models[i] = (th if self.ft_step is None
                              else self._finetune(self.clients[i], th, round_index))
         w.flags.writeable = False  # RunHistory's arrays are read-only
         pooled = {id(w): self._score_pooled(w)}  # pooled-set results of this call, by array
-        on_local = self._on_local(models)
+        groups: dict = {}  # (array, split size) -> the clients whose splits it scores
         for i, params in models.items():
-            if self.track_deviations and id(params) not in pooled:
-                pooled[id(params)] = self._score_pooled(params)
-            on_pooled = pooled[id(params)][2] if self.track_deviations else None
-            self._slots[i] = (thetas[i], on_local[i], on_pooled)
-        global_acc = pooled[id(w)][0]
-        local = weigh_local([slot[1] for slot in self._slots], self.sizes)
-        dev_global: dict[int, float] = {}
-        dev_local: dict[int, float] = {}
+            groups.setdefault((id(params), self.sizes[i]), []).append(i)
+        for members in groups.values():  # a lone split goes as a view, a group is stacked
+            x, y = (np.stack(column) if len(members) > 1 else column[0][None]
+                    for column in zip(*(self.tests[i] for i in members)))
+            stats = stacked_class_stats(self.model, models[members[0]], x, y, self.num_classes)
+            for rows, column in zip(self._rows, stats):
+                rows[members] = column
+        acc, loss, per_class, counts, on_pooled = self._rows
+        for i, params in models.items():
+            if self.track_deviations:
+                if id(params) not in pooled:
+                    pooled[id(params)] = self._score_pooled(params)
+                on_pooled[i] = pooled[id(params)][2]
+            self._scored[i] = thetas[i]
+        weights = self.sizes / self.sizes.sum()
+        dev_global, dev_local = {}, {}
         if self.track_deviations:
-            on_global = np.stack([slot[2] for slot in self._slots])
-            dg = loss_deviation(on_global, np.ones(len(self.clients)))
-            dl = loss_deviation(local.per_class_loss, local.class_counts)
+            dg = loss_deviation(on_pooled, np.ones(len(self.clients)))
+            dl = loss_deviation(per_class, counts)
             dev_global = {c: float(dg[0, c]) for c in range(self.num_classes)}
             dev_local = {c: float(dl[0, c]) for c in range(self.num_classes)}
         gce_value = None
@@ -525,9 +517,9 @@ class Evaluator:
                 gce_value = None
         return RoundMetrics(
             round=round_index,
-            global_acc_globaltest=global_acc,
-            personalized_acc_localtest=local.weighted_accuracy,
-            mean_local_loss=local.weighted_loss,
+            global_acc_globaltest=pooled[id(w)][0],
+            personalized_acc_localtest=float(weights @ acc),
+            mean_local_loss=float(weights @ loss),
             gce=gce_value,
             per_class_deviation_global=dev_global,
             per_class_deviation_local=dev_local,

@@ -32,16 +32,6 @@ class RoundMetrics:
     per_class_deviation_local: dict[int, float] = field(default_factory=dict)
 
 
-@dataclass
-class LocalTestResult:
-    """Personalized evaluation across clients, weighted by local test size."""
-
-    weighted_accuracy: float
-    weighted_loss: float
-    per_class_loss: np.ndarray  # (clients, classes), 0.0 where a class is absent
-    class_counts: np.ndarray  # (clients, classes) test example counts
-
-
 def stacked_class_stats(model, params, features, labels, num_classes):
     """``per_class_stats`` of one model on k splits: features (k, m, D), labels (k, m).
 
@@ -75,21 +65,6 @@ def check_local_tests(test_sets) -> np.ndarray:
         if size < 1:
             raise ConfigError(f"client {i} has an empty local test split")
     return sizes
-
-
-def weigh_local(stats, sizes: np.ndarray) -> LocalTestResult:
-    """Combine one ``per_class_stats`` result per client, weighted by local test size.
-
-    A client with three times the test data counts three times as much.
-    """
-    accs, losses, per_class, counts = (np.array(column) for column in zip(*stats))
-    weights = sizes / sizes.sum()
-    return LocalTestResult(
-        weighted_accuracy=float(weights @ accs),
-        weighted_loss=float(weights @ losses),
-        per_class_loss=per_class,
-        class_counts=counts,
-    )
 
 
 def gce(vectors) -> float:

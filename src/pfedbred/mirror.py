@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError, is_int
 
 # Domains are open sets; boundary points are rejected rather than clamped.
 _DOMAIN_CHECKS: dict[str, Callable[[np.ndarray], bool]] = {
@@ -114,8 +114,8 @@ def bregman_prox(mmap: MirrorMap, lam: float, loss, mu, steps: int, step_size: f
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if not steps >= 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (is_int(steps) and steps >= 1):
+        raise ValueError(f"steps must be >= 1 (an integer), got {steps!r}")
     if not 0.0 < step_size < np.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     mu = _as_vector(mu, "mu")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, is_int
 
 LEAKY_SLOPE = 0.01
 
@@ -154,8 +154,8 @@ class LossOracle:
             raise DimensionError("labels must align with features rows")
         if features.shape[0] < 1:
             raise ValueError("oracle needs at least one example")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if not (is_int(batch_size) and batch_size >= 1):
+            raise ValueError(f"batch_size must be >= 1 (an integer), got {batch_size!r}")
         self.model = model
         self.features = features
         self.labels = labels

@@ -1,9 +1,14 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfedbred import ConfigError
+from pfedbred import ConfigError, cli
 from pfedbred.cli import build_dataset, main, parse_config, run_experiment
 
 SYNTH = {"synth": "4,4,40,1.5", "partition": "label_shard:2", "N": 4, "S": 2,
@@ -218,3 +223,48 @@ def test_cli_flags_reach_spec(tmp_path):
     assert spec.ft is True
     assert spec.track_deviations is False
     assert spec.seed == 5
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a 784-feature dnn: large enough that OpenBLAS splits its products over two threads
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    files = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "pfedbred.cli", "--synth", "10,784,60,1.0",
+                        "--method", "perfedavg_fo", "--model", "dnn", "--N", "10", "--S", "3",
+                        "--T", "4", "--R", "3", "--partition", "label_shard:10",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        [run_dir] = out.iterdir()
+        files.append((run_dir / "repeat_0.jsonl").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_run_experiment_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"))
+    if not libs:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    lib = ctypes.CDLL(str(libs[0]))
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    previous, seen, runner = get(), [], cli.RUNNERS["pfedbred"]
+
+    def recording(*args):
+        seen.append(get())
+        return runner(*args)
+
+    monkeypatch.setitem(cli.RUNNERS, "pfedbred", recording)
+    set_(2)
+    try:
+        run_experiment(parse_config(None, dict(SYNTH, repeats=2, out=str(tmp_path))))
+        assert seen == [1, 1] and get() == 2
+    finally:
+        set_(previous)
+
+
+def test_run_experiment_runs_unpinned_without_bundled_openblas(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    run_experiment(parse_config(None, dict(SYNTH, out=str(tmp_path / "runs"))))
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "OpenBLAS was not found" in err

@@ -1,4 +1,4 @@
-"""The per-client evaluation slots and the pooled-set worker: Evaluator scores exactly like
+"""The per-client evaluation rows and the pooled-set worker: Evaluator scores exactly like
 scoring every model afresh, and the round loop raises and cleans up as the sequential loop
 did."""
 

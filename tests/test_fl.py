@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pfedbred import (ClientState, ConfigError, DivergenceError, LossOracle, Mclr,
+from pfedbred import (ClientState, ConfigError, DivergenceError, Dnn, LossOracle, Mclr,
                       PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
                       client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
-                      init_rng, local_round, make_clients, perfedavg_local_round,
-                      run_fedavg, run_pfedbred, run_perfedavg_fo, sample_clients)
+                      init_rng, local_round, make_clients, partition_dirichlet,
+                      perfedavg_local_round, run_fedavg, run_pfedbred, run_perfedavg_fo,
+                      sample_clients)
 from pfedbred.errors import DimensionError
 from pfedbred.fl import DIVERGENCE_LIMIT, _check_bounded
 
@@ -393,52 +394,140 @@ def test_run_pfedbred_unit_composition(blob_setup):
     assert np.array_equal(history.final_thetas[0], clients[0].theta)
 
 
-def test_meg_whole_run_matches_written_out_loop(monkeypatch):
-    # Three clients, S=2, T=3, beta=2 (--am): at seed 1 client 0 sits out round 2, so in
-    # round 3 its memorized model is the local model it returned in round 1.  Only the
-    # generator stream layout is shared with the trainer; the loop is written out here.
-    seed, T, R, K, S, N = 1, 3, 2, 3, 2, 3
-    lam, alpha, alpha_m, beta, eta, batch = 4.0, 0.05, 0.05, 2.0, 0.3, 6
-    ds = two_blob_dataset(n_per_class=15, seed=2)
-    part = even_partition(ds, N)
-    model = Mclr(ds.num_features, 2)
-    cfg = RunConfig(alpha_m=alpha_m, alpha=alpha, lam=lam, beta=beta, num_rounds=T,
-                    local_steps=R, prox_steps=K, sample_size=S, num_clients=N,
-                    batch_size=batch, strategy=PriorStrategy(kind="meg", eta=eta),
-                    seed=seed, track_deviations=False)
-    global_models = record_global_models(monkeypatch)
-    history = run_pfedbred(cfg, ds, part, model)
+def written_out_init(seed, sizes):
+    """``init_params`` of a network of layer widths ``sizes``: per layer, one uniform draw."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    return np.concatenate([rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
+                                       size=(fan_in + 1) * fan_out)
+                           for fan_in, fan_out in zip(sizes, sizes[1:])])
 
-    w = np.random.default_rng(np.random.SeedSequence((seed, 0))).uniform(
-        -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), size=6)
+
+def written_out_draw(rng, n, batch):
+    """``LossOracle.draw_batch``: the whole split, drawing nothing, when the batch covers it."""
+    return np.arange(n) if batch >= n else rng.choice(n, size=batch, replace=False)
+
+
+def written_out_prox_update(model, cfg):
+    """One client's pfedbred local round under the squared norm (vanilla, lg, meg, mh_variant)."""
+    s = cfg.strategy
+
+    def update(w, th, mem, x, y, rng):
+        for _ in range(cfg.local_steps):
+            mu = w
+            if s.kind in ("lg", "mh_variant"):  # one strategy batch, reused by the lookahead
+                idx = written_out_draw(rng, len(x), cfg.batch_size)
+                g = model.grad(w, x[idx], y[idx])
+                if s.kind == "lg":
+                    mu = w - s.eta_alpha * g
+                else:
+                    mu = w - (s.eta * s.eta_tilde_alpha) * model.grad(w - s.eta_tilde * g,
+                                                                      x[idx], y[idx])
+            if s.kind in ("meg", "mh_variant"):
+                mu = mu - s.eta * (mem - th)
+            th = mu
+            for _ in range(cfg.prox_steps):
+                idx = written_out_draw(rng, len(x), cfg.batch_size)
+                th = th - cfg.alpha * (model.grad(th, x[idx], y[idx]) + cfg.lam * (th - mu))
+            w = w - cfg.alpha_m * (cfg.lam * (mu - th))
+        return w, th, w
+
+    return update
+
+
+def written_out_fedavg_update(model, cfg):
+    """One client's FedAvg local round: plain mini-batch SGD; theta and memory stay as they are."""
+    def update(w, th, mem, x, y, rng):
+        for _ in range(cfg.local_steps):
+            idx = written_out_draw(rng, len(x), cfg.batch_size)
+            w = w - cfg.alpha_m * model.grad(w, x[idx], y[idx])
+        return w, th, mem
+
+    return update
+
+
+def written_out_run(cfg, ds, part, w, update):
+    """Every round's global model, the final thetas and each round's sampled set.
+
+    Only the generator stream layout is shared with the trainer; the round loop is written
+    out here.
+    """
+    seed, N = cfg.seed, cfg.num_clients
     train = [(ds.features[tr], ds.labels[tr]) for tr in part.train]
     thetas, memorized = [w] * N, [w] * N
     trajectory, rounds_sampled = [], []
-    for t in range(1, T + 1):
+    for t in range(1, cfg.num_rounds + 1):
         sampled = np.sort(np.random.default_rng(np.random.SeedSequence((seed, t, 1))).choice(
-            N, size=S, replace=False))
+            N, size=cfg.sample_size, replace=False))
         rounds_sampled.append(set(sampled.tolist()))
         collected = []
         for i in sampled:
             rng = np.random.default_rng(np.random.SeedSequence((seed, int(i), t, 2)))
-            x, y = train[i]
-            wl, th = w, thetas[i]
-            for _ in range(R):
-                mu = wl - eta * (memorized[i] - th)
-                th = mu
-                for _ in range(K):
-                    idx = rng.choice(len(x), size=batch, replace=False)
-                    th = th - alpha * (model.grad(th, x[idx], y[idx]) + lam * (th - mu))
-                wl = wl - alpha_m * (lam * (mu - th))
-            thetas[i], memorized[i] = th, wl
+            wl, thetas[i], memorized[i] = update(w, thetas[i], memorized[i], *train[i], rng)
             collected.append(wl)
-        w = (1.0 - beta) * w + beta * np.stack(collected).mean(axis=0)
+        w = (1.0 - cfg.beta) * w + cfg.beta * np.stack(collected).mean(axis=0)
         trajectory.append(w)
+    return trajectory, thetas, rounds_sampled
 
-    assert 0 in rounds_sampled[0] - rounds_sampled[1] and 0 in rounds_sampled[2]
-    assert len(global_models) == T
+
+def check_pfedbred_whole_run(monkeypatch, strategy, partition=even_partition, hidden=None):
+    """Run pfedbred on three two-blob clients, S=2, T=3, beta=2 (--am), and require every
+    round's global model and the final thetas to equal the written-out loop's bit for bit."""
+    ds = two_blob_dataset(n_per_class=15, seed=2)
+    part = partition(ds, 3)
+    sizes = (ds.num_features, 2) if hidden is None else (ds.num_features, hidden, 2)
+    model = Mclr(*sizes) if hidden is None else Dnn(ds.num_features, 2, hidden=hidden)
+    cfg = RunConfig(alpha_m=0.05, alpha=0.05, lam=4.0, beta=2.0, num_rounds=3, local_steps=2,
+                    prox_steps=3, sample_size=2, num_clients=3, batch_size=6,
+                    strategy=strategy, seed=1, track_deviations=False)
+    global_models = record_global_models(monkeypatch)
+    history = run_pfedbred(cfg, ds, part, model)
+    trajectory, thetas, rounds_sampled = written_out_run(
+        cfg, ds, part, written_out_init(cfg.seed, sizes), written_out_prox_update(model, cfg))
+    assert len(global_models) == cfg.num_rounds
     assert all(np.array_equal(a, b) for a, b in zip(global_models, trajectory))
     assert all(np.array_equal(a, b) for a, b in zip(history.final_thetas, thetas))
+    return rounds_sampled
+
+
+def test_meg_whole_run_matches_written_out_loop(monkeypatch):
+    # at seed 1 client 0 sits out round 2, so in round 3 its memorized model is the local
+    # model it returned in round 1
+    rounds_sampled = check_pfedbred_whole_run(monkeypatch, PriorStrategy(kind="meg", eta=0.3))
+    assert 0 in rounds_sampled[0] - rounds_sampled[1] and 0 in rounds_sampled[2]
+
+
+def dirichlet_half(ds, num_clients):
+    """Train splits of 4, 2 and 20 rows: two clients' batches of 6 cover their whole split."""
+    return partition_dirichlet(ds, num_clients, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("strategy, partition, hidden", [
+    (PriorStrategy(kind="lg", eta_alpha=0.1), even_partition, None),
+    (PriorStrategy(kind="mh_variant", eta_alpha=0.1, eta=0.3, eta_tilde_alpha=0.7,
+                   eta_tilde=0.2), even_partition, None),
+    (PriorStrategy(kind="meg", eta=0.3), dirichlet_half, None),
+    (PriorStrategy(kind="mh_variant", eta_alpha=0.1, eta=0.3), even_partition, 3),
+], ids=["lg", "mh_variant", "meg_dirichlet", "mh_variant_dnn"])
+def test_whole_run_matches_written_out_loop(monkeypatch, strategy, partition, hidden):
+    check_pfedbred_whole_run(monkeypatch, strategy, partition, hidden)
+
+
+def test_fedavg_whole_run_matches_written_out_loop(monkeypatch):
+    # S=2 of N=4 over T=4 rounds: clients sit out, and FedAvg's thetas all follow w
+    ds = two_blob_dataset(n_per_class=20, seed=3)
+    part = even_partition(ds, 4)
+    model = Mclr(ds.num_features, 2)
+    cfg = small_run_config(num_rounds=4, local_steps=3, sample_size=2, num_clients=4,
+                           batch_size=4, beta=1.5, seed=2)
+    global_models = record_global_models(monkeypatch)
+    history = run_fedavg(cfg, ds, part, model)
+    trajectory, _, rounds_sampled = written_out_run(
+        cfg, ds, part, written_out_init(cfg.seed, (ds.num_features, 2)),
+        written_out_fedavg_update(model, cfg))
+    assert set().union(*rounds_sampled) == {0, 1, 2, 3}
+    assert len(global_models) == cfg.num_rounds
+    assert all(np.array_equal(a, b) for a, b in zip(global_models, trajectory))
+    assert all(np.array_equal(theta, trajectory[-1]) for theta in history.final_thetas)
 
 
 def test_run_pfedbred_seed_sensitivity(blob_setup):

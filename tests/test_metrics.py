@@ -9,16 +9,24 @@ from pfedbred import (ClientState, ConfigError, DegenerateInputError, Dnn, Evalu
                       Mclr, gce, loss_deviation, partition_dirichlet, per_class_stats,
                       savitzky_golay, synth_gaussian_mixture)
 from pfedbred.errors import DimensionError
-from pfedbred.metrics import check_local_tests, stacked_class_stats, weigh_local
+from pfedbred.metrics import stacked_class_stats
 from pfedbred.models import softmax
 
 ALWAYS_ZERO = np.array([0.0, 0.0, 1.0, 0.0])  # Mclr(1, 2) params: bias favors class 0
 
 
+def clients_on(model, params, test_sets) -> list:
+    """One client per test split, each holding ``params`` and training on five class-0 rows."""
+    train = (np.zeros((5, 1)), np.zeros(5, dtype=np.int64))
+    return [ClientState(index=i, oracle=LossOracle(model, *train, 5), test_x=x, test_y=y,
+                        theta=params, memorized_local=params)
+            for i, (x, y) in enumerate(test_sets)]
+
+
 def weighted_local(model, params, test_sets):
-    """Each client's split scored by one model and weighed as ``Evaluator`` weighs it."""
-    return weigh_local([per_class_stats(model, params, x, y, 2) for x, y in test_sets],
-                       check_local_tests(test_sets))
+    """The round metrics of one model held by every client, as ``Evaluator.compute`` weighs them."""
+    params = params.copy()  # compute marks what it scores read-only; the caller's stays writable
+    return Evaluator(model, clients_on(model, params, test_sets), 2).compute(1, params)
 
 
 def test_per_class_stats_marks_absent_classes():
@@ -54,28 +62,26 @@ def test_weighted_local_accuracy_example():
     big = (np.zeros((30, 1)), np.zeros(30, dtype=np.int64))  # all class 0: acc 1.0
     small = (np.zeros((10, 1)), np.ones(10, dtype=np.int64))  # all class 1: acc 0.0
     result = weighted_local(model, ALWAYS_ZERO, [big, small])
-    assert result.weighted_accuracy == pytest.approx(0.75)
-    assert result.per_class_loss.shape == (2, 2)
-    assert result.class_counts.tolist() == [[30, 0], [0, 10]]
+    assert result.personalized_acc_localtest == pytest.approx(0.75)
+    assert result.mean_local_loss == pytest.approx(
+        0.75 * np.log1p(1 / np.e) + 0.25 * np.log1p(np.e))
+    # class counts [[30, 0], [0, 10]] weigh the per-class means: each class is held by one client
+    assert result.per_class_deviation_local == pytest.approx({0: 0.0, 1: -np.log1p(np.e)})
 
 
 def test_weighted_local_equal_accuracy_passes_through():
     model = Mclr(1, 2)
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)) for _ in range(3)]
     result = weighted_local(model, ALWAYS_ZERO, sets)
-    assert result.weighted_accuracy == pytest.approx(1.0)
+    assert result.personalized_acc_localtest == pytest.approx(1.0)
 
 
 def test_weighted_local_rejects_empty_test_split():
     model = Mclr(1, 2)
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)),
             (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
-    train = (np.zeros((5, 1)), np.zeros(5, dtype=np.int64))
-    clients = [ClientState(index=i, oracle=LossOracle(model, *train, 5), test_x=x, test_y=y,
-                           theta=ALWAYS_ZERO, memorized_local=ALWAYS_ZERO)
-               for i, (x, y) in enumerate(sets)]
     with pytest.raises(ConfigError, match="client 1"):
-        Evaluator(model, clients, 2)
+        Evaluator(model, clients_on(model, ALWAYS_ZERO, sets), 2)
 
 
 def test_gce_unit_values():

@@ -143,6 +143,14 @@ def test_prox_rejects_bad_steps_and_step_size(steps, step_size, match):
                      step_size, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("steps", [True, 2.5, 3.0, np.float64(2.0), "3"])
+def test_prox_rejects_non_integer_steps(steps):
+    # True would run one step and 2.5 would fail inside range(); both are config mistakes
+    with pytest.raises(ValueError, match=r"steps must be >= 1 \(an integer\)"):
+        bregman_prox(SQUARED_NORM, 1.0, QuadraticLoss([1.0, 0.0]), np.zeros(2), steps, 0.1,
+                     np.random.default_rng(0))
+
+
 def test_prox_reports_nonfinite_gradient_step():
     class BadLoss(ZeroLoss):
         def gradient(self, params, idx=None):

@@ -280,6 +280,19 @@ def test_oracle_validates_inputs():
         LossOracle(model, np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size=0)
 
 
+@pytest.mark.parametrize("batch_size", [True, 2.5, 3.0, np.float64(2.0), "3"])
+def test_oracle_rejects_non_integer_batch_size(batch_size):
+    # accepted, 2.5 would fail later in draw_batch and True would draw batches of one
+    with pytest.raises(ValueError, match=r"batch_size must be >= 1 \(an integer\)"):
+        LossOracle(Mclr(2, 2), np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size)
+
+
+@pytest.mark.parametrize("batch_size, drawn", [(1, 1), (np.int64(3), 3), (10**30, 4)])
+def test_oracle_accepts_integer_batch_size(batch_size, drawn):
+    oracle = LossOracle(Mclr(2, 2), np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size)
+    assert len(oracle.draw_batch(np.random.default_rng(0))) == drawn
+
+
 def test_gradient_determinism():
     model = Dnn(3, 2, hidden=5)
     params, x, y = random_problem(model, 1.0, seed=23, n=4)
