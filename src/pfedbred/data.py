@@ -36,6 +36,8 @@ class Dataset:
             raise ValueError(f"features must be 2-d, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with features rows")
+        if not np.issubdtype(self.labels.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.features.shape[0] < 1:
             raise ValueError("dataset is empty")
         if not np.isfinite(self.features).all():

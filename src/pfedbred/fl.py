@@ -19,6 +19,10 @@ All three methods run the same round loop and differ only in two hooks: the
 local update of a sampled client and the personalization step after
 aggregation.
 
+Clients index the shared dataset: a client's ``LossOracle`` holds the
+dataset's arrays and the client's train rows, and ``ClientState.test_rows``
+its test rows, so no client keeps a copy of its examples.
+
 Determinism: every stochastic choice is drawn from a generator seeded by a
 tuple of (run seed, client index, round index, purpose tag), and clients are
 updated one after another in sorted order.
@@ -43,14 +47,12 @@ No byte can move: the worker runs the same float operations on arrays
 already marked read-only, and ``Evaluator.compute`` uses its logits where the
 sequential loop scored that array, so an error from that forward surfaces
 there too; if round t + 1's training fails, round t is evaluated first, so
-its error is still the one raised.  A pooled forward is one large gemm that
-runs without the interpreter lock, so this thread pays where the removed
-per-client pool, whose many tiny calls hold the lock, did not.  Measured
-under one BLAS thread on 2 cores: idx784_perfedavg_dnn (600 x 79,510 =
-4.8e7) went from 5.3 to 8.2 rounds/s, while per-array jobs on the mclr
-workloads (at most 2,000 x 110 = 2.2e5) cost eval_wide_n400 12% and gained
-ablation_mclr nothing, so below the size no thread starts.  ``PFB_THREADS``
-stays ignored, and BLAS keeps its own thread count.
+its error is still the one raised.  Measured under one BLAS thread on 2
+cores: idx784_perfedavg_dnn (600 x 79,510 = 4.8e7) went from 5.3 to 8.2
+rounds/s, while per-array jobs on the mclr workloads (at most 2,000 x 110 =
+2.2e5) cost eval_wide_n400 12% and gained ablation_mclr nothing, so below the
+size no thread starts.  ``PFB_THREADS`` stays ignored, and BLAS keeps its own
+thread count.
 """
 
 from __future__ import annotations
@@ -244,6 +246,8 @@ class RunConfig:
 class ClientState:
     """One client's persistent state across rounds.
 
+    The client indexes the shared dataset: ``oracle`` gathers its train rows
+    and ``test_rows`` lists its test rows, so it holds no feature array.
     ``theta`` is the personalized model, carried between a client's
     participations.  ``memorized_local`` is the local copy of the global
     model as it stood at the end of the client's previous round; all local
@@ -252,8 +256,7 @@ class ClientState:
 
     index: int
     oracle: LossOracle
-    test_x: np.ndarray
-    test_y: np.ndarray
+    test_rows: np.ndarray
     theta: np.ndarray
     memorized_local: np.ndarray
 
@@ -261,19 +264,14 @@ class ClientState:
 def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> list[ClientState]:
     """One client per partition entry; every client's theta and memorized model is ``w0`` itself."""
     clients = []
-    for i in range(partition.num_clients):
-        tr, te = partition.train[i], partition.test[i]
+    for i, (tr, te) in enumerate(zip(partition.train, partition.test)):
         if tr.size == 0:
             raise ConfigError(f"client {i} has an empty train split")
-        oracle = LossOracle(model, dataset.features[tr], dataset.labels[tr], batch_size)
-        clients.append(ClientState(
-            index=i,
-            oracle=oracle,
-            test_x=dataset.features[te],
-            test_y=dataset.labels[te],
-            theta=w0,
-            memorized_local=w0,
-        ))
+        rows = np.concatenate((tr, te))
+        if rows.min() < 0 or rows.max() >= dataset.n:  # a negative row would index from the end
+            raise ConfigError(f"client {i} has rows outside the dataset's {dataset.n} rows")
+        clients.append(ClientState(index=i, oracle=LossOracle(model, dataset, tr, batch_size),
+                                   test_rows=te, theta=w0, memorized_local=w0))
     return clients
 
 
@@ -403,7 +401,8 @@ class Evaluator:
     sampled ones, or every client when personalization builds new thetas), in one stacked
     pass per (array, split size) on their splits.  On the pooled set it scores ``w`` and
     each distinct new array once per call, so an array several clients hold (the initial
-    vector in round 1, FedAvg's global model) is scored once.
+    vector in round 1, FedAvg's global model) is scored once.  Every split is gathered from
+    the dataset by the clients' test rows.
 
     Inside a ``with`` block, and only when one pooled-set forward costs at least
     WORKER_MIN_MULADDS, ``start_pooled`` and ``start_personalized`` run the pooled-set
@@ -412,19 +411,19 @@ class Evaluator:
     inline.
     """
 
-    def __init__(self, model, clients: list[ClientState], num_classes: int,
+    def __init__(self, model, dataset, clients: list[ClientState],
                  ft_step: float | None = None, track_deviations: bool = True):
         self.model = model
+        self.features, self.labels = dataset.features, dataset.labels
         self.clients = clients
-        self.num_classes = num_classes
+        self.num_classes = dataset.num_classes
         self.ft_step = ft_step
         self.track_deviations = track_deviations
-        self.global_x = np.concatenate([c.test_x for c in clients])
-        self.global_y = np.concatenate([c.test_y for c in clients])
-        self.tests = [(c.test_x, c.test_y) for c in clients]
-        self.sizes = check_local_tests(self.tests)
+        self.sizes = check_local_tests([c.test_rows for c in clients])
+        pooled = np.concatenate([c.test_rows for c in clients])
+        self.global_x, self.global_y = self.features[pooled], self.labels[pooled]
         self._scored = [None] * len(clients)
-        n, c = len(clients), num_classes  # the five row arrays, in the order above
+        n, c = len(clients), self.num_classes  # the five row arrays, in the order above
         self._rows = (np.zeros(n), np.zeros(n), np.zeros((n, c)), np.zeros((n, c)),
                       np.zeros((n, c)))
         self._worker = None
@@ -489,10 +488,10 @@ class Evaluator:
         groups: dict = {}  # (array, split size) -> the clients whose splits it scores
         for i, params in models.items():
             groups.setdefault((id(params), self.sizes[i]), []).append(i)
-        for members in groups.values():  # a lone split goes as a view, a group is stacked
-            x, y = (np.stack(column) if len(members) > 1 else column[0][None]
-                    for column in zip(*(self.tests[i] for i in members)))
-            stats = stacked_class_stats(self.model, models[members[0]], x, y, self.num_classes)
+        for members in groups.values():
+            idx = np.stack([self.clients[i].test_rows for i in members])  # (k, m) rows
+            stats = stacked_class_stats(self.model, models[members[0]], self.features[idx],
+                                        self.labels[idx], self.num_classes)
             for rows, column in zip(self._rows, stats):
                 rows[members] = column
         acc, loss, per_class, counts, on_pooled = self._rows
@@ -543,7 +542,7 @@ def _run(cfg: RunConfig, dataset, partition, model, local_update,
     w = model.init_params(init_rng(cfg.seed))
     clients = make_clients(dataset, partition, model, cfg.batch_size, w)
     rounds, previous = [], None
-    with Evaluator(model, clients, dataset.num_classes, ft_step=cfg.alpha if cfg.ft else None,
+    with Evaluator(model, dataset, clients, ft_step=cfg.alpha if cfg.ft else None,
                    track_deviations=cfg.track_deviations) as evaluator:
         for t in range(1, cfg.num_rounds + 1):
             try:

@@ -56,11 +56,11 @@ def per_class_stats(model, params, features, labels, num_classes):
     return float(acc), float(loss), per_class, counts
 
 
-def check_local_tests(test_sets) -> np.ndarray:
-    """Local test sizes as floats; every client needs at least one test example."""
-    if len(test_sets) < 1:
+def check_local_tests(test_rows) -> np.ndarray:
+    """Local test sizes as floats, from each client's test rows; every client needs one row."""
+    if len(test_rows) < 1:
         raise ConfigError("no clients to evaluate")
-    sizes = np.array([features.shape[0] for features, _ in test_sets], dtype=np.float64)
+    sizes = np.array([rows.shape[0] for rows in test_rows], dtype=np.float64)
     for i, size in enumerate(sizes):
         if size < 1:
             raise ConfigError(f"client {i} has an empty local test split")

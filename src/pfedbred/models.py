@@ -139,31 +139,25 @@ def make_model(kind: str, num_features: int, num_classes: int):
 
 
 class LossOracle:
-    """Mini-batch loss/gradient access to one client's view of a dataset.
+    """Mini-batch loss/gradient access to one client's rows of a shared dataset.
 
-    ``draw_batch`` samples ``batch_size`` indices uniformly without
-    replacement.  When the batch covers the whole view it returns
-    ``arange(n)`` without consuming the generator, so full-batch runs are
-    reproducible regardless of how often batches are drawn.
+    The oracle keeps the dataset's ``features`` and ``labels`` and the client's
+    ``rows`` into them, never a copy of those rows; ``Dataset`` owns the row
+    checks.  ``draw_batch`` samples ``batch_size`` of the ``n`` positions in
+    ``rows`` uniformly without replacement.  When the batch covers all of them
+    it returns ``arange(n)`` without consuming the generator, so full-batch
+    runs are reproducible regardless of how often batches are drawn.
     """
 
-    def __init__(self, model, features: np.ndarray, labels: np.ndarray, batch_size: int):
-        if features.ndim != 2:
-            raise DimensionError(f"features must be 2-d, got shape {features.shape}")
-        if labels.shape != (features.shape[0],):
-            raise DimensionError("labels must align with features rows")
-        if features.shape[0] < 1:
-            raise ValueError("oracle needs at least one example")
+    def __init__(self, model, dataset, rows: np.ndarray, batch_size: int):
         if not (is_int(batch_size) and batch_size >= 1):
             raise ValueError(f"batch_size must be >= 1 (an integer), got {batch_size!r}")
         self.model = model
-        self.features = features
-        self.labels = labels
+        self.features = dataset.features
+        self.labels = dataset.labels
+        self.rows = rows
+        self.n = rows.shape[0]
         self.batch_size = batch_size
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
     def draw_batch(self, rng: np.random.Generator) -> np.ndarray:
         if self.batch_size >= self.n:
@@ -171,9 +165,8 @@ class LossOracle:
         return rng.choice(self.n, size=self.batch_size, replace=False)
 
     def _select(self, idx):
-        if idx is None:
-            return self.features, self.labels
-        return self.features[idx], self.labels[idx]
+        rows = self.rows if idx is None else self.rows[idx]
+        return self.features[rows], self.labels[rows]
 
     def value(self, params: np.ndarray, idx=None) -> float:
         x, y = self._select(idx)

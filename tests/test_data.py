@@ -36,6 +36,11 @@ def test_dataset_validation():
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 0]), num_classes=2)
     with pytest.raises(ValueError, match=r"classes without examples: \[1, 3\]$"):
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 2]), num_classes=4)
+    # a float label failed inside np.bincount, and bool labels were taken as 0 and 1
+    for labels in (np.array([0.0, 1.0]), np.array([False, True])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Dataset(features=np.zeros((2, 2)), labels=labels, num_classes=2)
+    Dataset(features=np.zeros((2, 2)), labels=np.array([0, 1], dtype=np.uint8), num_classes=2)
 
 
 def test_partition_rejects_train_test_overlap():

@@ -77,19 +77,26 @@ def record_forward_threads(model) -> list:
     return off_main
 
 
-def from_scratch(ev, round_index, w, env_grads, thetas) -> RoundMetrics:
-    """The round's metrics with every theta fine-tuned and scored afresh on every set."""
-    thetas = [th if ev.ft_step is None else finetune_trick(th, c.oracle, ev.ft_step)
-              for c, th in zip(ev.clients, thetas)]
+def from_scratch(ev, ds, part, round_index, w, env_grads, thetas) -> RoundMetrics:
+    """The round's metrics with every theta fine-tuned and scored afresh on every set.
+
+    Only the settings come from ``ev``: the rows are copied out of ``ds`` by ``part``'s
+    indices, and the fine-tune step is written out on them.
+    """
     model, c = ev.model, ev.num_classes
-    global_acc = per_class_stats(model, w, ev.global_x, ev.global_y, c)[0]
-    local = [per_class_stats(model, th, x, y, c) for th, (x, y) in zip(thetas, ev.tests)]
+    train = [(ds.features[tr], ds.labels[tr]) for tr in part.train]
+    tests = [(ds.features[te], ds.labels[te]) for te in part.test]
+    pooled_x, pooled_y = (np.concatenate(column) for column in zip(*tests))
+    thetas = [th if ev.ft_step is None else th - ev.ft_step * model.grad(th, *xy)
+              for th, xy in zip(thetas, train)]
+    global_acc = per_class_stats(model, w, pooled_x, pooled_y, c)[0]
+    local = [per_class_stats(model, th, x, y, c) for th, (x, y) in zip(thetas, tests)]
     accs, losses, per_class, counts = (np.array(column) for column in zip(*local))
-    sizes = np.array([x.shape[0] for x, _ in ev.tests], dtype=np.float64)
+    sizes = np.array([x.shape[0] for x, _ in tests], dtype=np.float64)
     weights = sizes / sizes.sum()
     dev_global, dev_local = {}, {}
     if ev.track_deviations:
-        on_global = np.stack([per_class_stats(model, th, ev.global_x, ev.global_y, c)[2]
+        on_global = np.stack([per_class_stats(model, th, pooled_x, pooled_y, c)[2]
                               for th in thetas])
         dg = loss_deviation(on_global, np.ones(len(thetas)))
         dl = loss_deviation(per_class, counts)
@@ -152,7 +159,7 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
             pooled_x[:] = [self.global_x]
             calls.append([0, 0, 0, 0])
             got = super().compute(round_index, w, env_grads, thetas)
-            want = from_scratch(self, round_index, w, env_grads, thetas)
+            want = from_scratch(self, ds, part, round_index, w, env_grads, thetas)
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
             return got
 
@@ -264,7 +271,7 @@ def test_worker_forward_keeps_the_callers_numpy_error_state():
     overflowing = np.full(model.num_params, 1e300)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
-        with fl.Evaluator(model, clients, ds.num_classes) as evaluator:
+        with fl.Evaluator(model, ds, clients) as evaluator:
             evaluator.start_pooled(overflowing)
             with pytest.raises(NumericalError, match="non-finite values in logits"):
                 evaluator.compute(1, overflowing)

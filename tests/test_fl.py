@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from pfedbred import (ClientState, ConfigError, DivergenceError, Dnn, LossOracle, Mclr,
-                      PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
+                      Partition, PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
                       client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
                       init_rng, local_round, make_clients, partition_dirichlet,
                       perfedavg_local_round, run_fedavg, run_pfedbred, run_perfedavg_fo,
                       sample_clients)
 from pfedbred.errors import DimensionError
 from pfedbred.fl import DIVERGENCE_LIMIT, _check_bounded
+from pfedbred.models import cross_entropy_and_softmax
 
 from .helpers import QuadraticLoss, even_partition, record_global_models, two_blob_dataset
 
 
 def quadratic_client(a, w0, index=0):
-    return ClientState(index=index, oracle=QuadraticLoss(a), test_x=np.zeros((1, 1)),
-                       test_y=np.zeros(1, dtype=np.int64), theta=w0.copy(),
-                       memorized_local=w0.copy())
+    return ClientState(index=index, oracle=QuadraticLoss(a), test_rows=np.arange(1),
+                       theta=w0.copy(), memorized_local=w0.copy())
 
 
 def exact_prox_config(lam, **kwargs):
@@ -445,16 +445,42 @@ def written_out_fedavg_update(model, cfg):
     return update
 
 
-def written_out_run(cfg, ds, part, w, update):
-    """Every round's global model, the final thetas and each round's sampled set.
+def written_out_perfedavg_update(model, cfg):
+    """One client's first-order Per-FedAvg local round: per step an inner, then an outer batch."""
+    def update(w, th, mem, x, y, rng):
+        for _ in range(cfg.local_steps):
+            idx = written_out_draw(rng, len(x), cfg.batch_size)
+            inner = w - cfg.alpha * model.grad(w, x[idx], y[idx])
+            idx = written_out_draw(rng, len(x), cfg.batch_size)
+            w = w - cfg.alpha_m * model.grad(inner, x[idx], y[idx])
+        return w, th, mem
 
-    Only the generator stream layout is shared with the trainer; the round loop is written
-    out here.
+    return update
+
+
+def written_out_perfedavg_personalize(model, cfg):
+    """Per-FedAvg's personalization: a step at alpha_m from w, then one at alpha, a batch each."""
+    def personalize(w, x, y, rng):
+        idx = written_out_draw(rng, len(x), cfg.batch_size)
+        theta = w - cfg.alpha_m * model.grad(w, x[idx], y[idx])
+        idx = written_out_draw(rng, len(x), cfg.batch_size)
+        return theta - cfg.alpha * model.grad(theta, x[idx], y[idx])
+
+    return personalize
+
+
+def written_out_run(cfg, ds, part, w, update, personalize=None):
+    """Every round's global model, every round's thetas and each round's sampled set.
+
+    ``personalize(w, x, y, rng)``, when given, sets every client's theta after aggregation
+    from the client's (seed, client, round, 3) stream.  Only the generator stream layout is
+    shared with the trainer; the round loop is written out here, on copies of each client's
+    train rows.
     """
     seed, N = cfg.seed, cfg.num_clients
     train = [(ds.features[tr], ds.labels[tr]) for tr in part.train]
     thetas, memorized = [w] * N, [w] * N
-    trajectory, rounds_sampled = [], []
+    trajectory, round_thetas, rounds_sampled = [], [], []
     for t in range(1, cfg.num_rounds + 1):
         sampled = np.sort(np.random.default_rng(np.random.SeedSequence((seed, t, 1))).choice(
             N, size=cfg.sample_size, replace=False))
@@ -466,7 +492,25 @@ def written_out_run(cfg, ds, part, w, update):
             collected.append(wl)
         w = (1.0 - cfg.beta) * w + cfg.beta * np.stack(collected).mean(axis=0)
         trajectory.append(w)
-    return trajectory, thetas, rounds_sampled
+        if personalize is not None:
+            thetas = [personalize(w, *train[i], np.random.default_rng(
+                np.random.SeedSequence((seed, i, t, 3)))) for i in range(N)]
+        round_thetas.append(list(thetas))
+    return trajectory, round_thetas, rounds_sampled
+
+
+def written_out_local_scores(model, ds, part, thetas):
+    """personalized_acc_localtest and mean_local_loss of one theta per client, each scored on a
+    copy of its client's test rows and weighed by test size."""
+    accs, losses = [], []
+    for theta, te in zip(thetas, part.test):
+        x, y = ds.features[te], ds.labels[te]
+        loss, probs = cross_entropy_and_softmax(model.logits(theta, x), y)
+        accs.append(np.mean(np.argmax(probs, axis=-1) == y))
+        losses.append(loss.mean())
+    sizes = np.array([te.size for te in part.test], dtype=np.float64)
+    weights = sizes / sizes.sum()
+    return float(weights @ np.array(accs)), float(weights @ np.array(losses))
 
 
 def check_pfedbred_whole_run(monkeypatch, strategy, partition=even_partition, hidden=None):
@@ -481,11 +525,11 @@ def check_pfedbred_whole_run(monkeypatch, strategy, partition=even_partition, hi
                     strategy=strategy, seed=1, track_deviations=False)
     global_models = record_global_models(monkeypatch)
     history = run_pfedbred(cfg, ds, part, model)
-    trajectory, thetas, rounds_sampled = written_out_run(
+    trajectory, round_thetas, rounds_sampled = written_out_run(
         cfg, ds, part, written_out_init(cfg.seed, sizes), written_out_prox_update(model, cfg))
     assert len(global_models) == cfg.num_rounds
     assert all(np.array_equal(a, b) for a, b in zip(global_models, trajectory))
-    assert all(np.array_equal(a, b) for a, b in zip(history.final_thetas, thetas))
+    assert all(np.array_equal(a, b) for a, b in zip(history.final_thetas, round_thetas[-1]))
     return rounds_sampled
 
 
@@ -528,6 +572,74 @@ def test_fedavg_whole_run_matches_written_out_loop(monkeypatch):
     assert len(global_models) == cfg.num_rounds
     assert all(np.array_equal(a, b) for a, b in zip(global_models, trajectory))
     assert all(np.array_equal(theta, trajectory[-1]) for theta in history.final_thetas)
+
+
+def test_perfedavg_whole_run_matches_written_out_loop(monkeypatch):
+    # batches of 4 from train splits of 6: inner and outer steps and the personalization all
+    # draw from their streams; every round's scores follow the round's personalized thetas
+    ds = two_blob_dataset(n_per_class=15, seed=2)
+    part = even_partition(ds, 3, train_fraction=0.6)
+    model = Mclr(ds.num_features, 2)
+    cfg = small_run_config(num_rounds=3, local_steps=2, sample_size=2, num_clients=3,
+                           batch_size=4, alpha=0.1, seed=1)
+    global_models = record_global_models(monkeypatch)
+    history = run_perfedavg_fo(cfg, ds, part, model)
+    trajectory, round_thetas, _ = written_out_run(
+        cfg, ds, part, written_out_init(cfg.seed, (ds.num_features, 2)),
+        written_out_perfedavg_update(model, cfg), written_out_perfedavg_personalize(model, cfg))
+    assert len(global_models) == cfg.num_rounds
+    assert all(np.array_equal(a, b) for a, b in zip(global_models, trajectory))
+    assert all(np.array_equal(a, b) for a, b in zip(history.final_thetas, round_thetas[-1]))
+    assert [(m.personalized_acc_localtest, m.mean_local_loss) for m in history.rounds] == [
+        written_out_local_scores(model, ds, part, thetas) for thetas in round_thetas]
+
+
+def test_pfedbred_ft_scores_match_written_out_full_batch_steps():
+    # --ft scores each client's theta after one full-batch step at alpha on its train rows
+    ds = two_blob_dataset(n_per_class=15, seed=2)
+    part = even_partition(ds, 3, train_fraction=0.6)
+    model = Mclr(ds.num_features, 2)
+    cfg = small_run_config(num_rounds=3, local_steps=2, sample_size=2, num_clients=3,
+                           batch_size=4, alpha=0.1, ft=True, seed=1,
+                           strategy=PriorStrategy(kind="lg", eta_alpha=0.1))
+    history = run_pfedbred(cfg, ds, part, model)
+    _, round_thetas, _ = written_out_run(
+        cfg, ds, part, written_out_init(cfg.seed, (ds.num_features, 2)),
+        written_out_prox_update(model, cfg))
+
+    def full_batch_step(theta, tr):
+        return theta - cfg.alpha * model.grad(theta, ds.features[tr], ds.labels[tr])
+
+    assert [(m.personalized_acc_localtest, m.mean_local_loss) for m in history.rounds] == [
+        written_out_local_scores(model, ds, part, map(full_batch_step, thetas, part.train))
+        for thetas in round_thetas]
+
+
+def test_make_clients_indexes_the_shared_dataset():
+    ds = two_blob_dataset(n_per_class=15, seed=2)
+    part = partition_dirichlet(ds, 3, 0.5, seed=0)
+    model = Mclr(ds.num_features, 2)
+    clients = make_clients(ds, part, model, 4, model.init_params(init_rng(0)))
+    for c, tr, te in zip(clients, part.train, part.test):
+        assert c.oracle.features is ds.features and c.oracle.labels is ds.labels
+        assert c.oracle.n == len(tr)
+        assert np.array_equal(c.oracle.rows, tr) and np.array_equal(c.test_rows, te)
+        # the client holds row indices and parameter vectors, no feature array
+        assert all(not (isinstance(v, np.ndarray) and v.ndim > 1) for v in vars(c).values())
+
+
+@pytest.mark.parametrize("train, test, client", [
+    ((np.array([0, -1]), np.array([2])), (np.array([1]), np.array([3])), 0),
+    ((np.array([0]), np.array([2])), (np.array([1]), np.array([20])), 1),
+])
+def test_make_clients_rejects_rows_outside_the_dataset(train, test, client):
+    # a negative row indexed from the end: client 0 trained on row 19 of 20, and the
+    # partition's overlap check missed it; a row of 20 raised a bare IndexError
+    ds = two_blob_dataset(n_per_class=10, seed=0)
+    part = Partition(train=train, test=test)
+    model = Mclr(ds.num_features, 2)
+    with pytest.raises(ConfigError, match=rf"client {client} has rows outside the dataset"):
+        make_clients(ds, part, model, 4, model.init_params(init_rng(0)))
 
 
 def test_run_pfedbred_seed_sensitivity(blob_setup):
@@ -587,8 +699,7 @@ def test_fedavg_single_client_is_centralized_sgd():
     hist = run_fedavg(cfg, ds, part, model)
 
     w = model.init_params(init_rng(cfg.seed))
-    oracle = LossOracle(model, ds.features[part.train[0]], ds.labels[part.train[0]],
-                        cfg.batch_size)
+    oracle = LossOracle(model, ds, part.train[0], cfg.batch_size)
     for t in range(1, 5):
         sample_clients(cfg.seed, t, 1, 1)
         rng = client_rng(cfg.seed, 0, t)

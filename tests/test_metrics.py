@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfedbred import (ClientState, ConfigError, DegenerateInputError, Dnn, Evaluator, LossOracle,
-                      Mclr, gce, loss_deviation, partition_dirichlet, per_class_stats,
+from pfedbred import (ClientState, ConfigError, Dataset, DegenerateInputError, Dnn, Evaluator,
+                      LossOracle, Mclr, gce, loss_deviation, partition_dirichlet, per_class_stats,
                       savitzky_golay, synth_gaussian_mixture)
 from pfedbred.errors import DimensionError
 from pfedbred.metrics import stacked_class_stats
@@ -15,18 +15,27 @@ from pfedbred.models import softmax
 ALWAYS_ZERO = np.array([0.0, 0.0, 1.0, 0.0])  # Mclr(1, 2) params: bias favors class 0
 
 
-def clients_on(model, params, test_sets) -> list:
-    """One client per test split, each holding ``params`` and training on five class-0 rows."""
-    train = (np.zeros((5, 1)), np.zeros(5, dtype=np.int64))
-    return [ClientState(index=i, oracle=LossOracle(model, *train, 5), test_x=x, test_y=y,
-                        theta=params, memorized_local=params)
-            for i, (x, y) in enumerate(test_sets)]
+def clients_on(model, params, test_sets):
+    """A two-class dataset and one client per test split on it, each holding ``params``.
+
+    Every client trains on the dataset's first five rows, of class 0.  Row 5, of class 1, is no
+    client's: it gives every class an example.  The test splits follow, in order.
+    """
+    sizes = [len(y) for _, y in test_sets]
+    ds = Dataset(features=np.concatenate([np.zeros((6, 1))] + [x for x, _ in test_sets]),
+                 labels=np.concatenate([[0, 0, 0, 0, 0, 1]] + [y for _, y in test_sets]),
+                 num_classes=2)
+    ends = 6 + np.cumsum(sizes)
+    return ds, [ClientState(index=i, oracle=LossOracle(model, ds, np.arange(5), 5),
+                            test_rows=np.arange(end - size, end), theta=params,
+                            memorized_local=params)
+                for i, (size, end) in enumerate(zip(sizes, ends))]
 
 
 def weighted_local(model, params, test_sets):
     """The round metrics of one model held by every client, as ``Evaluator.compute`` weighs them."""
     params = params.copy()  # compute marks what it scores read-only; the caller's stays writable
-    return Evaluator(model, clients_on(model, params, test_sets), 2).compute(1, params)
+    return Evaluator(model, *clients_on(model, params, test_sets)).compute(1, params)
 
 
 def test_per_class_stats_marks_absent_classes():
@@ -81,7 +90,7 @@ def test_weighted_local_rejects_empty_test_split():
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)),
             (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
     with pytest.raises(ConfigError, match="client 1"):
-        Evaluator(model, clients_on(model, ALWAYS_ZERO, sets), 2)
+        Evaluator(model, *clients_on(model, ALWAYS_ZERO, sets))
 
 
 def test_gce_unit_values():

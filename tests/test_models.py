@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfedbred import Dnn, LossOracle, Mclr, make_model
+from pfedbred import Dataset, Dnn, LossOracle, Mclr, make_model
 from pfedbred.errors import DimensionError, NumericalError
 from pfedbred.models import softmax
 
@@ -234,12 +234,20 @@ def test_make_model_rejects_unknown_kind():
         make_model("cnn", 4, 2)
 
 
+def whole(x, y):
+    """A two-class dataset of the rows ``x, y``, and the indices of all its rows."""
+    return Dataset(features=x, labels=y, num_classes=2), np.arange(len(y))
+
+
+FOUR = whole(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+
+
 def test_oracle_full_batch_short_circuits_rng():
     model = Mclr(2, 2)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 2))
     y = np.array([0, 1, 0, 1, 0])
-    oracle = LossOracle(model, x, y, batch_size=8)
+    oracle = LossOracle(model, *whole(x, y), batch_size=8)
     state_before = rng.bit_generator.state
     idx = oracle.draw_batch(rng)
     assert np.array_equal(idx, np.arange(5))
@@ -251,7 +259,7 @@ def test_oracle_minibatch_draws_without_replacement():
     rng = np.random.default_rng(1)
     x = np.random.default_rng(0).normal(size=(30, 2))
     y = np.tile([0, 1], 15)
-    oracle = LossOracle(model, x, y, batch_size=10)
+    oracle = LossOracle(model, *whole(x, y), batch_size=10)
     idx = oracle.draw_batch(rng)
     assert idx.shape == (10,)
     assert len(np.unique(idx)) == 10
@@ -263,7 +271,7 @@ def test_oracle_none_index_means_full_view():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 2))
     y = np.array([0, 0, 1, 1, 0, 1])
-    oracle = LossOracle(model, x, y, batch_size=6)
+    oracle = LossOracle(model, *whole(x, y), batch_size=6)
     params = rng.normal(size=model.num_params)
     assert oracle.value(params, None) == pytest.approx(model.loss(params, x, y))
     assert np.array_equal(oracle.gradient(params, np.arange(6)),
@@ -271,25 +279,39 @@ def test_oracle_none_index_means_full_view():
 
 
 def test_oracle_validates_inputs():
-    model = Mclr(2, 2)
-    with pytest.raises(DimensionError):
-        LossOracle(model, np.zeros(4), np.zeros(4, dtype=np.int64), batch_size=1)
-    with pytest.raises(DimensionError):
-        LossOracle(model, np.zeros((4, 2)), np.zeros(3, dtype=np.int64), batch_size=1)
+    # the shape of the rows is Dataset's rule (test_data.test_dataset_validation)
     with pytest.raises(ValueError):
-        LossOracle(model, np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size=0)
+        LossOracle(Mclr(2, 2), *FOUR, batch_size=0)
+
+
+def test_oracle_indexes_the_shared_dataset():
+    # the oracle keeps the dataset's arrays and gathers its rows per call, in row order
+    model = Mclr(2, 2)
+    rng = np.random.default_rng(3)
+    ds = Dataset(features=rng.normal(size=(7, 2)), labels=np.array([0, 1, 1, 0, 1, 0, 0]),
+                 num_classes=2)
+    rows = np.array([5, 1, 3, 6])
+    oracle = LossOracle(model, ds, rows, batch_size=2)
+    assert oracle.features is ds.features and oracle.labels is ds.labels
+    assert oracle.n == len(rows)
+    params = rng.normal(size=model.num_params)
+    x, y = ds.features[rows], ds.labels[rows]
+    assert np.array_equal(oracle.gradient(params, None), model.grad(params, x, y))
+    idx = np.array([3, 0])
+    assert np.array_equal(oracle.gradient(params, idx), model.grad(params, x[idx], y[idx]))
+    assert oracle.value(params, idx) == model.loss(params, x[idx], y[idx])
 
 
 @pytest.mark.parametrize("batch_size", [True, 2.5, 3.0, np.float64(2.0), "3"])
 def test_oracle_rejects_non_integer_batch_size(batch_size):
     # accepted, 2.5 would fail later in draw_batch and True would draw batches of one
     with pytest.raises(ValueError, match=r"batch_size must be >= 1 \(an integer\)"):
-        LossOracle(Mclr(2, 2), np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size)
+        LossOracle(Mclr(2, 2), *FOUR, batch_size)
 
 
 @pytest.mark.parametrize("batch_size, drawn", [(1, 1), (np.int64(3), 3), (10**30, 4)])
 def test_oracle_accepts_integer_batch_size(batch_size, drawn):
-    oracle = LossOracle(Mclr(2, 2), np.zeros((4, 2)), np.zeros(4, dtype=np.int64), batch_size)
+    oracle = LossOracle(Mclr(2, 2), *FOUR, batch_size)
     assert len(oracle.draw_batch(np.random.default_rng(0))) == drawn
 
 
