@@ -21,7 +21,8 @@ aggregation.
 
 Clients index the shared dataset: a client's ``LossOracle`` holds the
 dataset's arrays and the client's train rows, and ``ClientState.test_rows``
-its test rows, so no client keeps a copy of its examples.
+its test rows, so no client keeps a copy of its examples.  ``make_clients``,
+where a partition first meets its dataset, checks every client's rows.
 
 Determinism: every stochastic choice is drawn from a generator seeded by a
 tuple of (run seed, client index, round index, purpose tag), and clients are
@@ -65,8 +66,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateInputError, DimensionError, DivergenceError,
                      is_int)
-from .metrics import (RoundMetrics, check_local_tests, gce, loss_deviation, per_class_stats,
-                      stacked_class_stats)
+from .metrics import RoundMetrics, gce, loss_deviation, per_class_stats, stacked_class_stats
 from .mirror import SQUARED_NORM, MirrorMap, bregman_prox, envelope_gradient
 from .models import LossOracle
 
@@ -262,14 +262,24 @@ class ClientState:
 
 
 def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> list[ClientState]:
-    """One client per partition entry; every client's theta and memorized model is ``w0`` itself."""
+    """One client per partition entry; every client's theta and memorized model is ``w0`` itself.
+
+    Here a partition meets its dataset, so a ConfigError names the first client whose rows
+    break a rule: a nonempty train split, integer rows, all in [0, n), and disjoint splits.
+    """
+    owner = np.full(dataset.n, -1)  # owner[r] == i: row r is in client i's train split
     clients = []
     for i, (tr, te) in enumerate(zip(partition.train, partition.test)):
         if tr.size == 0:
             raise ConfigError(f"client {i} has an empty train split")
+        if not all(np.issubdtype(r.dtype, np.integer) for r in (tr, te) if r.size):  # not bool
+            raise ConfigError(f"client {i} has non-integer rows ({tr.dtype}, {te.dtype})")
         rows = np.concatenate((tr, te))
         if rows.min() < 0 or rows.max() >= dataset.n:  # a negative row would index from the end
             raise ConfigError(f"client {i} has rows outside the dataset's {dataset.n} rows")
+        owner[tr] = i  # np.intersect1d would import numpy.ma
+        if te.size and (owner[te] == i).any():
+            raise ConfigError(f"client {i} has overlapping train/test indices")
         clients.append(ClientState(index=i, oracle=LossOracle(model, dataset, tr, batch_size),
                                    test_rows=te, theta=w0, memorized_local=w0))
     return clients
@@ -419,7 +429,11 @@ class Evaluator:
         self.num_classes = dataset.num_classes
         self.ft_step = ft_step
         self.track_deviations = track_deviations
-        self.sizes = check_local_tests([c.test_rows for c in clients])
+        if not clients:
+            raise ConfigError("no clients to evaluate")
+        self.sizes = np.array([c.test_rows.shape[0] for c in clients], dtype=np.float64)
+        if not self.sizes.all():
+            raise ConfigError(f"client {np.argmin(self.sizes)} has an empty local test split")
         pooled = np.concatenate([c.test_rows for c in clients])
         self.global_x, self.global_y = self.features[pooled], self.labels[pooled]
         self._scored = [None] * len(clients)

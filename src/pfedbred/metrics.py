@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError
 from .models import cross_entropy_and_softmax
 
 _ZERO_NORM_TOL = 1e-300
@@ -54,17 +54,6 @@ def per_class_stats(model, params, features, labels, num_classes):
     acc, loss, per_class, counts = (column[0] for column in stacked_class_stats(
         model, params, features[None], labels[None], num_classes))
     return float(acc), float(loss), per_class, counts
-
-
-def check_local_tests(test_rows) -> np.ndarray:
-    """Local test sizes as floats, from each client's test rows; every client needs one row."""
-    if len(test_rows) < 1:
-        raise ConfigError("no clients to evaluate")
-    sizes = np.array([rows.shape[0] for rows in test_rows], dtype=np.float64)
-    for i, size in enumerate(sizes):
-        if size < 1:
-            raise ConfigError(f"client {i} has an empty local test split")
-    return sizes
 
 
 def gce(vectors) -> float:

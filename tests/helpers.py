@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gzip
+import struct
+
 import numpy as np
 
 from pfedbred import Dataset, Partition, fl
@@ -96,3 +99,20 @@ def record_global_models(monkeypatch) -> list:
 
     monkeypatch.setattr(fl, "aggregate", recording)
     return trajectory
+
+
+def write_idx_images(path, array, magic=0x00000803, compress=False):
+    dims = array.shape
+    payload = struct.pack(">I", magic) + b"".join(struct.pack(">I", d) for d in dims)
+    payload += array.astype(np.uint8).tobytes()
+    opener = gzip.open if compress else open
+    with opener(path, "wb") as fh:
+        fh.write(payload)
+
+
+def write_idx_labels(path, labels, magic=0x00000801, compress=False):
+    payload = struct.pack(">I", magic) + struct.pack(">I", len(labels))
+    payload += np.asarray(labels, dtype=np.uint8).tobytes()
+    opener = gzip.open if compress else open
+    with opener(path, "wb") as fh:
+        fh.write(payload)

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfedbred import ConfigError, cli
+from pfedbred import ConfigError, cli, save_csv, synth_gaussian_mixture
 from pfedbred.cli import build_dataset, main, parse_config, run_experiment
+
+from .helpers import write_idx_images, write_idx_labels
 
 SYNTH = {"synth": "4,4,40,1.5", "partition": "label_shard:2", "N": 4, "S": 2,
          "T": 3, "R": 2, "K": 2, "batch": 5}
@@ -122,6 +124,8 @@ def test_type_checks_name_keys():
         parse_config(None, dict(SYNTH, T="many"))
     with pytest.raises(ConfigError, match="'ft'"):
         parse_config(None, dict(SYNTH, ft="yes"))
+    with pytest.raises(ConfigError, match="'out' must be a nonempty string"):
+        parse_config(None, dict(SYNTH, out=""))
 
 
 def test_numeric_keys_accept_numpy_scalars():
@@ -169,12 +173,13 @@ def test_run_experiment_writes_layout(tmp_path):
     assert names[:3] == ["global_acc", "personalized_acc", "mean_local_loss"]
 
 
-def test_run_experiment_never_overwrites(tmp_path):
+def test_run_experiment_never_overwrites(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")  # one second
     spec = parse_config(None, dict(SYNTH, T=1, R=1, out=str(tmp_path / "runs")))
-    first = run_experiment(spec)
-    second = run_experiment(spec)
-    assert first != second
-    assert first.is_dir() and second.is_dir()
+    runs = [run_experiment(spec) for _ in range(3)]
+    assert [run.name for run in runs] == [
+        "run-20260101-000000", "run-20260101-000000-1", "run-20260101-000000-2"]
+    assert all(run.is_dir() for run in runs)
 
 
 def test_repeats_shift_partition_seed(tmp_path):
@@ -194,6 +199,33 @@ def test_main_success_prints_run_dir(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert (tmp_path / "runs") in list((tmp_path / "runs").parent.iterdir())
     assert out.startswith(str(tmp_path / "runs"))
+
+
+@pytest.mark.parametrize("source", ["csv-flag", "idx-flag", "idx-config-list"])
+def test_main_runs_on_a_file_dataset(tmp_path, capsys, source):
+    argv = ["--partition", "label_shard:2", "--N", "4", "--S", "2", "--T", "3", "--R", "2",
+            "--K", "2", "--batch", "5", "--out", str(tmp_path / "runs")]
+    if source == "csv-flag":
+        save_csv(synth_gaussian_mixture(4, 4, 40, 1.5, seed=0), tmp_path / "corpus.csv")
+        argv += ["--dataset-csv", str(tmp_path / "corpus.csv")]
+    else:  # a gzip pair of 4 classes, 40 images each
+        labels = np.repeat(np.arange(4), 40)
+        noise = np.random.default_rng(0).integers(0, 64, size=(160, 2, 3))
+        images = noise + 48 * labels[:, None, None]
+        paths = [str(tmp_path / "images-idx3-ubyte.gz"), str(tmp_path / "labels-idx1-ubyte.gz")]
+        write_idx_images(paths[0], images, compress=True)
+        write_idx_labels(paths[1], labels, compress=True)
+        if source == "idx-flag":
+            argv += ["--dataset-idx", ",".join(paths)]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"dataset_idx": paths}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+    args = cli.build_parser().parse_args(argv)
+    spec = parse_config(args.config, cli._overrides_from_args(args))  # as main resolves it
+    assert main(argv) == 0
+    run_dir = Path(capsys.readouterr().out.strip())
+    assert len((run_dir / "repeat_0.jsonl").read_text().splitlines()) == 3
+    assert parse_config(run_dir / "config.json") == spec
 
 
 def test_main_config_error_is_exit_one(tmp_path, capsys):

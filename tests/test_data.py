@@ -1,4 +1,3 @@
-import gzip
 import struct
 
 import numpy as np
@@ -8,6 +7,8 @@ from pfedbred import (Dataset, IdxFormatError, Mclr, Partition, PartitionError, 
                       load_idx, partition_dirichlet, partition_label_shard, save_csv,
                       synth_gaussian_mixture)
 from pfedbred.models import softmax
+
+from .helpers import write_idx_images, write_idx_labels
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +42,23 @@ def test_dataset_validation():
         with pytest.raises(ValueError, match="labels must be integers"):
             Dataset(features=np.zeros((2, 2)), labels=labels, num_classes=2)
     Dataset(features=np.zeros((2, 2)), labels=np.array([0, 1], dtype=np.uint8), num_classes=2)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        Dataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64), num_classes=2)
+    for labels in (np.array([0, 2]), np.array([-1, 1])):
+        with pytest.raises(ValueError, match="labels out of range for num_classes"):
+            Dataset(features=np.zeros((2, 2)), labels=labels, num_classes=2)
 
 
-def test_partition_rejects_train_test_overlap():
+def test_partition_checks_only_its_shape():
     Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([7]), np.arange(3)))
     Partition(train=(np.arange(3), np.array([])), test=(np.array([]), np.array([5])))
-    with pytest.raises(ValueError, match="client 1 has overlapping train/test indices"):
-        Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([4]), np.array([5, 4])))
+    # rows are checked against the dataset when a run builds its clients (test_fl's row table)
+    Partition(train=(np.arange(3), np.array([9, 4])), test=(np.array([4]), np.array([5, 4])))
+    Partition(train=(np.array([0.0, 1.0]),), test=(np.array([10**6]),))
+    with pytest.raises(ValueError, match="train and test must list the same clients"):
+        Partition(train=(np.arange(3),), test=(np.array([4]), np.array([5])))
+    with pytest.raises(ValueError, match="partition has no clients"):
+        Partition(train=(), test=())
 
 
 def test_label_shard_each_client_sees_exact_class_count(corpus):
@@ -171,22 +182,6 @@ def test_dirichlet_param_validation(corpus):
         partition_dirichlet(corpus, corpus.n + 1, 1.0, seed=0)
 
 
-def write_idx_images(path, array, magic=0x00000803, compress=False):
-    dims = array.shape
-    payload = struct.pack(">I", magic) + b"".join(struct.pack(">I", d) for d in dims)
-    payload += array.astype(np.uint8).tobytes()
-    opener = gzip.open if compress else open
-    with opener(path, "wb") as fh:
-        fh.write(payload)
-
-
-def write_idx_labels(path, labels, magic=0x00000801):
-    payload = struct.pack(">I", magic) + struct.pack(">I", len(labels))
-    payload += np.asarray(labels, dtype=np.uint8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-
-
 @pytest.fixture
 def idx_pair(tmp_path):
     rng = np.random.default_rng(0)
@@ -237,6 +232,14 @@ def test_idx_truncated_payload_names_offset(tmp_path, idx_pair):
         load_idx(trunc, lab_path)
 
 
+def test_idx_empty_dimension_header(tmp_path, idx_pair):
+    _, lab_path, _, _ = idx_pair
+    empty = tmp_path / "empty-images"
+    write_idx_images(empty, np.zeros((0, 2, 2), dtype=np.uint8))
+    with pytest.raises(IdxFormatError, match="empty dimension header at byte offset 4"):
+        load_idx(empty, lab_path)
+
+
 def test_idx_count_mismatch(tmp_path, idx_pair):
     img_path, _, _, _ = idx_pair
     short = tmp_path / "short-labels"
@@ -259,6 +262,17 @@ def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,x0,x1\n0,1.0,2.0\n")
     with pytest.raises(ValueError, match="header"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("label,f0,f1\n0,1.0\n1,2.0\n", "rows have 2 fields, header has 3"),
+    ("label,f0\n0,1.0\n0.5,2.0\n", "labels must be integers"),
+], ids=["field-count", "float-label"])
+def test_csv_rejects_bad_rows(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         load_csv(path)
 
 

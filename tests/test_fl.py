@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pfedbred import (ClientState, ConfigError, DivergenceError, Dnn, LossOracle, Mclr,
-                      Partition, PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
+from pfedbred import (ClientState, ConfigError, DivergenceError, Dnn, Evaluator, LossOracle,
+                      Mclr, Partition, PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
                       client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
                       init_rng, local_round, make_clients, partition_dirichlet,
                       perfedavg_local_round, run_fedavg, run_pfedbred, run_perfedavg_fo,
@@ -628,18 +628,41 @@ def test_make_clients_indexes_the_shared_dataset():
         assert all(not (isinstance(v, np.ndarray) and v.ndim > 1) for v in vars(c).values())
 
 
-@pytest.mark.parametrize("train, test, client", [
-    ((np.array([0, -1]), np.array([2])), (np.array([1]), np.array([3])), 0),
-    ((np.array([0]), np.array([2])), (np.array([1]), np.array([20])), 1),
+@pytest.mark.parametrize("train, test, client, message", [
+    pytest.param((np.array([0, -1]), np.array([2])), (np.array([1]), np.array([3])), 0,
+                 "rows outside the dataset's 20 rows", id="train0-test0-0"),
+    pytest.param((np.array([0]), np.array([2])), (np.array([1]), np.array([20])), 1,
+                 "rows outside the dataset's 20 rows", id="train1-test1-1"),
+    pytest.param((np.array([0, 2**40]),), (np.array([1]),), 0,
+                 "rows outside the dataset's 20 rows", id="row-2**40"),
+    pytest.param((np.array([0.0, 1.0, 2.0]),), (np.array([3.0, 4.0]),), 0,
+                 r"non-integer rows \(float64, float64\)", id="float-rows"),
+    pytest.param((np.array([0]), np.array([2])), (np.array([1]), np.array([True])), 1,
+                 r"non-integer rows \(int64, bool\)", id="bool-rows"),
+    pytest.param((np.array([0]), np.array([], dtype=np.int64)), (np.array([1]), np.array([2])),
+                 1, "an empty train split", id="empty-train"),
+    pytest.param((np.arange(3), np.array([9, 4])), (np.array([4]), np.array([5, 4])), 1,
+                 "overlapping train/test indices", id="overlap"),
 ])
-def test_make_clients_rejects_rows_outside_the_dataset(train, test, client):
-    # a negative row indexed from the end: client 0 trained on row 19 of 20, and the
-    # partition's overlap check missed it; a row of 20 raised a bare IndexError
+def test_make_clients_rejects_rows_outside_the_dataset(train, test, client, message):
+    # the one table of row rules, on a 20-row dataset: a negative row would index from the
+    # end (client 0 would train on row 19), and no array may be sized by a row like 2**40
     ds = two_blob_dataset(n_per_class=10, seed=0)
     part = Partition(train=train, test=test)
     model = Mclr(ds.num_features, 2)
-    with pytest.raises(ConfigError, match=rf"client {client} has rows outside the dataset"):
+    with pytest.raises(ConfigError, match=rf"^client {client} has {message}"):
         make_clients(ds, part, model, 4, model.init_params(init_rng(0)))
+
+
+def test_an_empty_test_split_of_any_dtype_reaches_the_evaluator():
+    # np.array([]) is float64; an empty split holds no row to check, so the evaluator's own
+    # precondition names it
+    ds = two_blob_dataset(n_per_class=10, seed=0)
+    part = Partition(train=(np.array([3]), np.arange(3)), test=(np.array([4]), np.array([])))
+    model = Mclr(ds.num_features, 2)
+    clients = make_clients(ds, part, model, 4, model.init_params(init_rng(0)))
+    with pytest.raises(ConfigError, match="client 1 has an empty local test split"):
+        Evaluator(model, ds, clients)
 
 
 def test_run_pfedbred_seed_sensitivity(blob_setup):

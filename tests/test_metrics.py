@@ -89,8 +89,20 @@ def test_weighted_local_rejects_empty_test_split():
     model = Mclr(1, 2)
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)),
             (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
-    with pytest.raises(ConfigError, match="client 1"):
+    with pytest.raises(ConfigError, match="client 1 has an empty local test split"):
         Evaluator(model, *clients_on(model, ALWAYS_ZERO, sets))
+    ds, _ = clients_on(model, ALWAYS_ZERO, sets[:1])
+    with pytest.raises(ConfigError, match="no clients to evaluate"):
+        Evaluator(model, ds, [])
+
+
+def test_evaluator_writes_no_gce_for_a_zero_envelope_gradient():
+    model = Mclr(1, 2)
+    sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64))]
+    evaluator = Evaluator(model, *clients_on(model, ALWAYS_ZERO.copy(), sets))
+    w = ALWAYS_ZERO.copy()
+    assert evaluator.compute(1, w, env_grads=[np.eye(4)[0], np.eye(4)[1]]).gce == 0.0
+    assert evaluator.compute(2, w, env_grads=[np.eye(4)[0], np.zeros(4)]).gce is None
 
 
 def test_gce_unit_values():
