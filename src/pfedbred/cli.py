@@ -167,7 +167,7 @@ class ExperimentSpec:
 
     dataset_idx: tuple | None = _key("dataset_idx", None, _as_idx_pair,
                                      "binary IDX image/label pair", metavar="IMAGES,LABELS",
-                                     unparse=",".join)
+                                     unparse=list)
     dataset_csv: str | None = _key("dataset_csv", None, _as_str,
                                    "CSV file with header label,f0,f1,...", metavar="PATH")
     synth: tuple | None = _key(

@@ -36,6 +36,11 @@ same array, and enforces it: it marks every theta it keeps, and every global
 model it scores, read-only, so a write in place raises instead of serving a
 stale score.
 
+On the pooled test set ``Evaluator`` runs ``per_class_stats`` on the global model, whose
+accuracy is the round's global accuracy, and gives each personalized model only its
+per-class losses, which feed the pooled-set deviations: the same softmax pass, label
+gather and per-class means, without the probabilities, argmax and counts.
+
 One piece of work runs on a second thread.  When one pooled-test-set forward
 costs at least WORKER_MIN_MULADDS multiply-adds (pooled rows x parameters),
 ``Evaluator`` runs the pooled-set forward (``model.logits``) of each new array
@@ -66,9 +71,10 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateInputError, DimensionError, DivergenceError,
                      is_int)
-from .metrics import RoundMetrics, gce, loss_deviation, per_class_stats, stacked_class_stats
+from .metrics import (RoundMetrics, class_groups, class_means, gce, loss_deviation,
+                      per_class_stats, stacked_class_stats)
 from .mirror import SQUARED_NORM, MirrorMap, bregman_prox, envelope_gradient
-from .models import LossOracle
+from .models import LossOracle, cross_entropy
 
 STRATEGY_KINDS = ("vanilla", "lg", "meg", "mh", "mh_variant")
 _GRADIENT_SHIFT = ("lg", "mh", "mh_variant")
@@ -265,11 +271,14 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
     """One client per partition entry; every client's theta and memorized model is ``w0`` itself.
 
     Here a partition meets its dataset, so a ConfigError names the first client whose rows
-    break a rule: a nonempty train split, integer rows, all in [0, n), and disjoint splits.
+    break a rule: 1-d arrays, a nonempty train split, integer rows, all in [0, n), and
+    disjoint splits.
     """
     owner = np.full(dataset.n, -1)  # owner[r] == i: row r is in client i's train split
     clients = []
     for i, (tr, te) in enumerate(zip(partition.train, partition.test)):
+        if not all(isinstance(r, np.ndarray) and r.ndim == 1 for r in (tr, te)):
+            raise ConfigError(f"client {i} has rows that are not 1-d arrays")
         if tr.size == 0:
             raise ConfigError(f"client {i} has an empty train split")
         if not all(np.issubdtype(r.dtype, np.integer) for r in (tr, te) if r.size):  # not bool
@@ -390,7 +399,7 @@ class RunHistory:
 
 
 class _Forwarded:
-    """Stands in for the model in ``per_class_stats`` once the worker has run its forward."""
+    """Stands in for the model once the worker has run a pooled-set forward."""
 
     def __init__(self, future):
         self.future = future
@@ -409,10 +418,11 @@ class Evaluator:
     on the pooled set; the model is the theta, or with ``--ft`` its fine-tuned model.
     ``compute`` fine-tunes and scores only the clients whose theta is a new array (the
     sampled ones, or every client when personalization builds new thetas), in one stacked
-    pass per (array, split size) on their splits.  On the pooled set it scores ``w`` and
-    each distinct new array once per call, so an array several clients hold (the initial
-    vector in round 1, FedAvg's global model) is scored once.  Every split is gathered from
-    the dataset by the clients' test rows.
+    pass per (array, split size) on their splits.  On the pooled set ``w`` gets
+    ``per_class_stats`` and each distinct new array its per-class losses only, one forward
+    per array per call, so an array several clients hold (the initial vector in round 1,
+    FedAvg's global model, which is also ``w``) is forwarded once.  Every split is gathered
+    from the dataset by the clients' test rows.
 
     Inside a ``with`` block, and only when one pooled-set forward costs at least
     WORKER_MIN_MULADDS, ``start_pooled`` and ``start_personalized`` run the pooled-set
@@ -436,6 +446,7 @@ class Evaluator:
             raise ConfigError(f"client {np.argmin(self.sizes)} has an empty local test split")
         pooled = np.concatenate([c.test_rows for c in clients])
         self.global_x, self.global_y = self.features[pooled], self.labels[pooled]
+        self._pooled_groups = class_groups(self.global_y[None], self.num_classes)
         self._scored = [None] * len(clients)
         n, c = len(clients), self.num_classes  # the five row arrays, in the order above
         self._rows = (np.zeros(n), np.zeros(n), np.zeros((n, c)), np.zeros((n, c)),
@@ -476,10 +487,15 @@ class Evaluator:
             self.start_pooled(theta)
         return theta
 
-    def _score_pooled(self, params: np.ndarray):
+    def _pooled_model(self, params: np.ndarray):
+        """The model, or a stand-in for it once the worker has run ``params``' pooled forward."""
         started = self._forwards.pop(id(params), None)
-        model = self.model if started is None else _Forwarded(started[1])
-        return per_class_stats(model, params, self.global_x, self.global_y, self.num_classes)
+        return self.model if started is None else _Forwarded(started[1])
+
+    def _pooled_class_losses(self, theta: np.ndarray) -> np.ndarray:
+        """``per_class_stats(...)[2]`` of a theta on the pooled set, and nothing else of it."""
+        logits = self._pooled_model(theta).logits(theta, self.global_x[None])
+        return class_means(cross_entropy(logits, self.global_y[None]), *self._pooled_groups)[0]
 
     def compute(self, round_index: int, w: np.ndarray, env_grads=None,
                 thetas=None) -> RoundMetrics:
@@ -498,7 +514,9 @@ class Evaluator:
                 models[i] = (th if self.ft_step is None
                              else self._finetune(self.clients[i], th, round_index))
         w.flags.writeable = False  # RunHistory's arrays are read-only
-        pooled = {id(w): self._score_pooled(w)}  # pooled-set results of this call, by array
+        global_acc, _, w_losses, _ = per_class_stats(self._pooled_model(w), w, self.global_x,
+                                                     self.global_y, self.num_classes)
+        pooled = {id(w): w_losses}  # per-class losses on the pooled set of this call, by array
         groups: dict = {}  # (array, split size) -> the clients whose splits it scores
         for i, params in models.items():
             groups.setdefault((id(params), self.sizes[i]), []).append(i)
@@ -512,8 +530,8 @@ class Evaluator:
         for i, params in models.items():
             if self.track_deviations:
                 if id(params) not in pooled:
-                    pooled[id(params)] = self._score_pooled(params)
-                on_pooled[i] = pooled[id(params)][2]
+                    pooled[id(params)] = self._pooled_class_losses(params)
+                on_pooled[i] = pooled[id(params)]
             self._scored[i] = thetas[i]
         weights = self.sizes / self.sizes.sum()
         dev_global, dev_local = {}, {}
@@ -530,7 +548,7 @@ class Evaluator:
                 gce_value = None
         return RoundMetrics(
             round=round_index,
-            global_acc_globaltest=pooled[id(w)][0],
+            global_acc_globaltest=global_acc,
             personalized_acc_localtest=float(weights @ acc),
             mean_local_loss=float(weights @ loss),
             gce=gce_value,

@@ -32,6 +32,32 @@ class RoundMetrics:
     per_class_deviation_local: dict[int, float] = field(default_factory=dict)
 
 
+def class_groups(labels, num_classes):
+    """Each split's rows by class, for ``class_means``: labels (k, m) -> a stable argsort of
+    each split's labels, which lists each class's rows in ascending order, and the (k,
+    num_classes) counts."""
+    counts = np.bincount((labels + num_classes * np.arange(len(labels))[:, None]).ravel(),
+                         minlength=len(labels) * num_classes).reshape(-1, num_classes)
+    return np.argsort(labels, axis=-1, kind="stable"), counts
+
+
+def class_means(losses, order, counts):
+    """Per-class mean of (k, m) losses, 0 for an absent class; ``order, counts`` are
+    ``class_groups(labels, num_classes)``.
+
+    Gathered in ``order``, each class's losses are one contiguous run, in the order
+    ``losses[j][labels[j] == c]`` lists them, and its mean is the sum and division that
+    ``.mean()`` runs on that array.
+    """
+    grouped = np.take_along_axis(losses, order, axis=-1)
+    ends = np.cumsum(counts, axis=-1)
+    means = np.zeros(counts.shape)
+    present = np.nonzero(counts)
+    for j, c, end, n in zip(*present, ends[present].tolist(), counts[present].tolist()):
+        means[j, c] = np.add.reduce(grouped[j, end - n:end]) / n
+    return means
+
+
 def stacked_class_stats(model, params, features, labels, num_classes):
     """``per_class_stats`` of one model on k splits: features (k, m, D), labels (k, m).
 
@@ -41,12 +67,8 @@ def stacked_class_stats(model, params, features, labels, num_classes):
     """
     losses, probs = cross_entropy_and_softmax(model.logits(params, features), labels)
     accs = np.mean(np.argmax(probs, axis=-1) == labels, axis=-1)
-    counts = np.bincount((labels + num_classes * np.arange(len(labels))[:, None]).ravel(),
-                         minlength=len(labels) * num_classes).reshape(-1, num_classes)
-    per_class = np.zeros(counts.shape)
-    for split, cls in zip(*np.nonzero(counts)):
-        per_class[split, cls] = losses[split][labels[split] == cls].mean()
-    return accs, losses.mean(axis=-1), per_class, counts
+    order, counts = class_groups(labels, num_classes)
+    return accs, losses.mean(axis=-1), class_means(losses, order, counts), counts
 
 
 def per_class_stats(model, params, features, labels, num_classes):

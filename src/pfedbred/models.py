@@ -30,11 +30,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / total
 
 
+def _label_losses(shifted: np.ndarray, total: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """-log softmax at each label, from the softmax pass: shifted[label] less log(total)."""
+    return -(np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+             - np.log(total[..., 0]))
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-example loss -log softmax(logits)[..., label], without the probabilities."""
+    shifted, _, total = _shift_exp_sum(logits)
+    return _label_losses(shifted, total, labels)
+
+
 def cross_entropy_and_softmax(logits: np.ndarray, labels: np.ndarray):
-    """Per-example loss -log softmax(logits)[..., label] and the probabilities, from one pass."""
+    """``cross_entropy`` and the probabilities, from one pass."""
     shifted, e, total = _shift_exp_sum(logits)
-    losses = -np.take_along_axis(shifted - np.log(total), labels[..., None], axis=-1)[..., 0]
-    return losses, e / total
+    return _label_losses(shifted, total, labels), e / total
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -92,7 +103,7 @@ class Network:
         return self._forward(self._unpack(params), features)[2]
 
     def per_example_loss(self, params, features, labels) -> np.ndarray:
-        return cross_entropy_and_softmax(self.logits(params, features), labels)[0]
+        return cross_entropy(self.logits(params, features), labels)
 
     def loss(self, params, features, labels) -> float:
         return float(self.per_example_loss(params, features, labels).mean())

@@ -80,6 +80,14 @@ def test_resolved_config_round_trips():
     assert again == spec
 
 
+def test_idx_paths_holding_a_comma_round_trip():
+    # the 'IMAGES,LABELS' string form cannot hold such a path; the JSON list form can
+    spec = parse_config(None, {"dataset_idx": ["dir,1/img", "lab"]})
+    config = json.loads(json.dumps(spec.to_config()))  # as config.json holds it
+    assert config["dataset_idx"] == ["dir,1/img", "lab"]
+    assert parse_config(None, {k: v for k, v in config.items() if v is not None}) == spec
+
+
 def test_partition_parse_errors():
     with pytest.raises(ConfigError, match="partition"):
         parse_config(None, {"synth": "4,4,10,1.0", "partition": "label_shard"})

@@ -22,7 +22,7 @@ FLAGS = {"-h", "--help", "--config", "--dataset-idx", "--dataset-csv", "--synth"
 
 # a value other than the default for every key, as to_config writes it
 SAMPLES = {
-    "dataset_idx": "images.idx,labels.idx", "dataset_csv": "data.csv", "synth": "3,3,10,0.5",
+    "dataset_idx": ["images.idx", "labels.idx"], "dataset_csv": "data.csv", "synth": "3,3,10,0.5",
     "partition": "dirichlet:0.3", "method": "fedavg", "strategy": "lg", "model": "dnn",
     "T": 7, "R": 3, "K": 4, "S": 3, "N": 9, "lambda": 2.5, "alpha_m": 0.2, "alpha": 0.3,
     "eta": 0.4, "eta_alpha": 0.5, "beta": 1.5, "batch": 7, "seed": 11, "repeats": 2,
@@ -66,7 +66,8 @@ def test_flag_round_trips_through_the_config(key):
     value = SAMPLES[key.name]
     argv = [] if key.name in ("dataset_idx", "dataset_csv") else ["--synth", "4,4,40,1.5"]
     action = flag_of(key)
-    argv += action.option_strings if action.nargs == 0 else [action.option_strings[0], str(value)]
+    flag_value = ",".join(value) if isinstance(value, list) else str(value)
+    argv += action.option_strings if action.nargs == 0 else [action.option_strings[0], flag_value]
     spec = parse_config(None, _overrides_from_args(build_parser().parse_args(argv)))
     config = spec.to_config()
     assert config[key.name] == value

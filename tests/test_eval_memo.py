@@ -65,16 +65,18 @@ CASES = {
 }
 
 
-def record_forward_threads(model) -> list:
-    """Wrap ``model.logits``; the returned list says, per call, whether it ran off the main thread."""
-    off_main, logits = [], model.logits
+def record_forwards(model) -> list:
+    """Wrap ``model.logits``; the returned list holds, per call, its parameters, its features
+    and whether it ran off the main thread."""
+    forwards, logits = [], model.logits
 
     def recording_logits(params, features):
-        off_main.append(threading.current_thread() is not threading.main_thread())
+        forwards.append((params, features,
+                         threading.current_thread() is not threading.main_thread()))
         return logits(params, features)
 
     model.logits = recording_logits
-    return off_main
+    return forwards
 
 
 def from_scratch(ev, ds, part, round_index, w, env_grads, thetas) -> RoundMetrics:
@@ -131,12 +133,14 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     pooled_rows = sum(te.size for te in part.test)
     assert (pooled_rows * model.num_params >= fl.WORKER_MIN_MULADDS) == wide
 
-    off_main = record_forward_threads(model)
+    forwards = record_forwards(model)
+    attributed = set()  # positions in ``forwards`` of the pooled-set forwards a round counted
 
-    # per round: [pooled-set calls, (client, array) pairs scored on local splits, fine-tunes,
-    # stacked local-split calls] the evaluator made
+    # per round: [per_class_stats calls, (client, array) pairs scored on local splits,
+    # fine-tunes, stacked local-split calls, pooled-set forwards] the evaluator made
     calls = []
     pooled_x = []
+    finetuned = []  # the models fine-tuned in the current round
 
     def counting_pooled(model, params, features, labels, num_classes):
         assert features is pooled_x[0]
@@ -150,15 +154,27 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
 
     def counting_finetune(theta, oracle, step):
         calls[-1][2] += 1
-        return finetune_trick(theta, oracle, step)
+        finetuned.append(finetune_trick(theta, oracle, step))
+        return finetuned[-1]
+
+    def count_pooled_forwards(global_x, scored):
+        # the worker may run the next round's forwards before or while this round is scored,
+        # so a forward counts for the round that scores its array
+        for k, (params, features, _) in enumerate(forwards):
+            if (k not in attributed and np.may_share_memory(features, global_x)
+                    and any(params is s for s in scored)):
+                attributed.add(k)
+                calls[-1][4] += 1
 
     class Checked(fl.Evaluator):
         def compute(self, round_index, w, env_grads=None, thetas=None):
             # the round loop scores a round after the next one trains, from the round's thetas
             assert thetas is not None
             pooled_x[:] = [self.global_x]
-            calls.append([0, 0, 0, 0])
+            calls.append([0, 0, 0, 0, 0])
+            finetuned.clear()
             got = super().compute(round_index, w, env_grads, thetas)
+            count_pooled_forwards(self.global_x, [w, *thetas, *finetuned])
             want = from_scratch(self, ds, part, round_index, w, env_grads, thetas)
             assert dataclasses.asdict(got) == dataclasses.asdict(want)
             return got
@@ -172,14 +188,19 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     assert threading.active_count() == threads
     assert len(calls) == ROUNDS
     # the worker runs exactly when one pooled forward is large enough
-    assert any(off_main) == wide
+    assert any(off_main for _, _, off_main in forwards) == wide
+    # every pooled-set forward is of an array some round scored
+    assert all(k in attributed for k, (_, features, _) in enumerate(forwards)
+               if np.may_share_memory(features, pooled_x[0]))
+    # w alone goes through per_class_stats; a theta gets its per-class losses only
+    assert all(stats == 1 for stats, *_ in calls)
     s, n = cfg.sample_size, cfg.num_clients
     if runner is run_pfedbred:
         # only the sampled clients' thetas and w change after round 1
-        assert all(pooled <= s + 1 and local <= s for pooled, local, _, _ in calls[1:])
+        assert all(pooled <= s + 1 and local <= s for _, local, _, _, pooled in calls[1:])
         # round 1 scores w, the S new thetas and the one initial theta every client shares
         # (with --ft, each client fine-tunes that theta into a model of its own)
-        assert calls[0][0] <= (n + 1 if cfg.ft else s + 2)
+        assert calls[0][4] <= (n + 1 if cfg.ft else s + 2)
         assert calls[0][1] == n
         if not cfg.ft:
             # one stacked call per split size scores the shared theta
@@ -187,15 +208,18 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
     if cfg.ft:
         # a client's fine-tuned theta changes only when its theta does
         assert calls[0][2] == n
-        assert all(finetunes <= s for _, _, finetunes, _ in calls[1:])
+        assert all(finetunes <= s for _, _, finetunes, _, _ in calls[1:])
     if runner is run_fedavg:
-        # every theta is w: one pooled-set evaluation and one stacked local call per split
-        # size a round
+        # every theta is w: one pooled-set forward and one stacked local call per split size
+        # a round
         assert all(pooled == 1 and local == n and stacked == split_sizes
-                   for pooled, local, _, stacked in calls)
+                   for _, local, _, stacked, pooled in calls)
+    if runner is run_perfedavg_fo:
+        # personalization gives every client a new theta each round
+        assert all(pooled == n + 1 for *_, pooled in calls)
     if not cfg.track_deviations:
-        # only w is scored on the pooled set
-        assert all(pooled == 1 for pooled, _, _, _ in calls)
+        # only w is forwarded on the pooled set
+        assert all(pooled == 1 for *_, pooled in calls)
 
 
 # a dnn run whose pooled forward, 1,200 rows x 10,504 parameters, goes to the worker
@@ -267,7 +291,7 @@ def test_worker_forward_keeps_the_callers_numpy_error_state():
     part = partition_label_shard(ds, 10, 2, train_fraction=0.8, seed=0)
     model = Dnn(ds.num_features, ds.num_classes)
     clients = fl.make_clients(ds, part, model, 5, model.init_params(fl.init_rng(0)))
-    off_main = record_forward_threads(model)
+    forwards = record_forwards(model)
     overflowing = np.full(model.num_params, 1e300)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
@@ -275,4 +299,4 @@ def test_worker_forward_keeps_the_callers_numpy_error_state():
             evaluator.start_pooled(overflowing)
             with pytest.raises(NumericalError, match="non-finite values in logits"):
                 evaluator.compute(1, overflowing)
-    assert off_main == [True]
+    assert [off_main for _, _, off_main in forwards] == [True]

@@ -643,6 +643,9 @@ def test_make_clients_indexes_the_shared_dataset():
                  1, "an empty train split", id="empty-train"),
     pytest.param((np.arange(3), np.array([9, 4])), (np.array([4]), np.array([5, 4])), 1,
                  "overlapping train/test indices", id="overlap"),
+    pytest.param(([0, 1],), ([2],), 0, "rows that are not 1-d arrays", id="list-rows"),
+    pytest.param((np.array([0]), np.array([[2, 3]])), (np.array([1]), np.array([4])), 1,
+                 "rows that are not 1-d arrays", id="2d-rows"),
 ])
 def test_make_clients_rejects_rows_outside_the_dataset(train, test, client, message):
     # the one table of row rules, on a 20-row dataset: a negative row would index from the

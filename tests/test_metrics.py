@@ -9,8 +9,8 @@ from pfedbred import (ClientState, ConfigError, Dataset, DegenerateInputError, D
                       LossOracle, Mclr, gce, loss_deviation, partition_dirichlet, per_class_stats,
                       savitzky_golay, synth_gaussian_mixture)
 from pfedbred.errors import DimensionError
-from pfedbred.metrics import stacked_class_stats
-from pfedbred.models import softmax
+from pfedbred.metrics import class_groups, class_means, stacked_class_stats
+from pfedbred.models import cross_entropy, softmax
 
 ALWAYS_ZERO = np.array([0.0, 0.0, 1.0, 0.0])  # Mclr(1, 2) params: bias favors class 0
 
@@ -270,3 +270,43 @@ def test_stacked_class_stats_bit_matches_per_split_scoring(model):
                 assert stacked[2].dtype == per_class.dtype
                 assert np.array_equal(stacked[3][row], counts)
                 assert stacked[3].dtype == counts.dtype
+
+
+def one_hot_split(model):
+    """Rows e_c of classes 0, 2 and 4 (1 and 3 absent) and parameters whose logits are 1000 at
+    the label and 0 elsewhere: a gap past 745, where exp underflows, so every loss is 0."""
+    y = np.repeat([0, 2, 4], [3, 5, 2])
+    x = np.eye(model.num_features)[y]
+    gain = 1000.0 * np.eye(model.num_classes, model.num_features)
+    if isinstance(model, Dnn):  # the hidden layer passes e_c on, the output layer scales it
+        first = np.eye(model.hidden, model.num_features)
+        gain = 1000.0 * np.eye(model.num_classes, model.hidden)
+        params = np.concatenate([first.ravel(), np.zeros(model.hidden), gain.ravel(),
+                                 np.zeros(model.num_classes)])
+    else:
+        params = np.concatenate([gain.ravel(), np.zeros(model.num_classes)])
+    return x, y, params
+
+
+@pytest.mark.parametrize("model", [Mclr(6, 5), Dnn(6, 5, hidden=7)], ids=["mclr", "dnn"])
+def test_class_losses_bit_match_per_class_stats(model):
+    # the evaluator scores a theta on the pooled set by its per-class losses alone; they must
+    # be per_class_stats' bit for bit, and the mean of the loss written out in one pass
+    ds = synth_gaussian_mixture(5, 6, 40, 1.0, seed=0)
+    keep = np.isin(ds.labels, [0, 2, 4])  # classes 1 and 3 absent
+    rng = np.random.default_rng(3)
+    cases = [(ds.features[keep], ds.labels[keep], model.init_params(rng)),
+             (ds.features[keep], ds.labels[keep], 30.0 * model.init_params(rng)),
+             one_hot_split(model)]
+    for x, y, params in cases:
+        logits = model.logits(params, x)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        losses = -np.take_along_axis(
+            shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), y[:, None], axis=1)[:, 0]
+        written_out = [losses[y == c].mean() if (y == c).any() else 0.0 for c in range(5)]
+        lean = class_means(cross_entropy(model.logits(params, x[None]), y[None]),
+                           *class_groups(y[None], 5))[0]
+        assert np.array_equal(lean, per_class_stats(model, params, x, y, 5)[2])
+        assert lean.tolist() == written_out
+        assert lean.dtype == np.float64
+    assert not lean.any()  # the one-hot case: every loss is exactly 0
