@@ -9,21 +9,16 @@ under the output root containing the resolved config, one JSON-lines file of
 per-round metrics per repeat, and a CSV summarizing the final round across
 repeats.
 
-Repeats run one after another in this process.  They pin the OpenBLAS that
-numpy's wheels bundle to one thread: a matrix product split over threads can
-sum in another order, so the bytes written would depend on the thread count.
-Where that library is not found, they run unpinned and say so on stderr.
-Every repeat's partition is built before the directory is created, so a
-partition that cannot be built leaves no directory.  A run that fails in training, or on a config
-error found only there, also writes ``status.json`` into its directory,
-saying where and why it failed.
+Repeats run one after another in this process, each on one BLAS thread (see
+``pfedbred.fl``).  Every repeat's partition is built before the directory is
+created, so a partition that cannot be built leaves no directory.  A run that
+fails in training, or on a config error found only there, also writes
+``status.json`` into its directory, saying where and why it failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import json
 import numbers
 import sys
@@ -121,13 +116,12 @@ def _as_synth(key: str, value) -> tuple:
 
 
 def _as_idx_pair(key: str, value) -> tuple:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return str(value[0]), str(value[1])
-    if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) == 2 and all(parts):
-            return parts[0], parts[1]
-    raise ConfigError(f"config key {key!r} must be 'IMAGES,LABELS', got {value!r}")
+    parts = value.split(",") if isinstance(value, str) else value
+    if isinstance(parts, (list, tuple)) and len(parts) == 2 and all(
+            isinstance(p, str) and p for p in parts):
+        return tuple(parts)
+    raise ConfigError(f"config key {key!r} must be 'IMAGES,LABELS' or a list of two "
+                      f"nonempty paths, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -291,26 +285,6 @@ def build_partition(spec: ExperimentSpec, dataset: Dataset, seed: int):
     return split(dataset, spec.num_clients, param, train_fraction=spec.train_fraction, seed=seed)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin numpy's bundled OpenBLAS to one thread (see above), restoring its count on exit."""
-    try:
-        [path] = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so")
-        lib = ctypes.CDLL(str(path))
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ValueError, OSError, AttributeError):  # not a numpy wheel's OpenBLAS: run unpinned
-        print("warning: numpy's bundled OpenBLAS was not found; the bytes written may depend "
-              "on the BLAS thread count", file=sys.stderr)
-        yield
-        return
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
-
-
 def _new_run_dir(root: Path) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
     suffix = 0
@@ -340,7 +314,6 @@ def _round_record(m, repeat: int, seed: int, method: str, strategy) -> dict:
     }
 
 
-@_one_blas_thread()
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     """Run all repeats, write outputs, and return the created run directory.
 

@@ -284,7 +284,7 @@ def load_csv(path) -> Dataset:
     if raw.shape[1] != len(cols):
         raise ValueError(f"{path}: rows have {raw.shape[1]} fields, header has {len(cols)}")
     labels = raw[:, 0].astype(np.int64)
-    if not np.allclose(raw[:, 0], labels):
+    if not np.array_equal(raw[:, 0], labels):
         raise ValueError(f"{path}: labels must be integers")
     features = raw[:, 1:].astype(np.float64)
     return Dataset(features=features, labels=labels, num_classes=int(labels.max()) + 1)

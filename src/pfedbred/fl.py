@@ -1,5 +1,8 @@
 """Federated training loops with personalized Bregman-proximal local objectives.
 
+The runners, ``RunConfig``, ``PriorStrategy`` and ``RunHistory`` are public.  Everything
+else here is internal: clients, the evaluator, local steps, aggregation, the rng streams.
+
 Each client keeps a personalized model theta next to its copy of the global
 model.  A local step first selects a prior mean mu from the current local
 state (several selection strategies below), then moves theta toward the
@@ -11,13 +14,10 @@ squared-norm map.  The server aggregates the returned local models.
 a loss gradient draws its own mini-batch for it, before the proximal steps
 draw theirs.
 
-Reference baselines (FedAvg and a first-order meta-learning method that
-personalizes by fine-tuning) share the same sampling, batching, and
-aggregation machinery so runs are comparable.
-
-All three methods run the same round loop and differ only in two hooks: the
-local update of a sampled client and the personalization step after
-aggregation.
+The reference baselines (FedAvg, and a first-order meta-learning method that
+personalizes by fine-tuning) run the same round loop, so runs are comparable.  The
+methods differ only in two hooks: a sampled client's local update and the
+personalization step after aggregation.
 
 Clients index the shared dataset: a client's ``LossOracle`` holds the
 dataset's arrays and the client's train rows, and ``ClientState.test_rows``
@@ -36,11 +36,6 @@ same array, and enforces it: it marks every theta it keeps, and every global
 model it scores, read-only, so a write in place raises instead of serving a
 stale score.
 
-On the pooled test set ``Evaluator`` runs ``per_class_stats`` on the global model, whose
-accuracy is the round's global accuracy, and gives each personalized model only its
-per-class losses, which feed the pooled-set deviations: the same softmax pass, label
-gather and per-class means, without the probabilities, argmax and counts.
-
 One piece of work runs on a second thread.  When one pooled-test-set forward
 costs at least WORKER_MIN_MULADDS multiply-adds (pooled rows x parameters),
 ``Evaluator`` runs the pooled-set forward (``model.logits``) of each new array
@@ -53,19 +48,26 @@ No byte can move: the worker runs the same float operations on arrays
 already marked read-only, and ``Evaluator.compute`` uses its logits where the
 sequential loop scored that array, so an error from that forward surfaces
 there too; if round t + 1's training fails, round t is evaluated first, so
-its error is still the one raised.  Measured under one BLAS thread on 2
-cores: idx784_perfedavg_dnn (600 x 79,510 = 4.8e7) went from 5.3 to 8.2
-rounds/s, while per-array jobs on the mclr workloads (at most 2,000 x 110 =
-2.2e5) cost eval_wide_n400 12% and gained ablation_mclr nothing, so below the
-size no thread starts.  ``PFB_THREADS`` stays ignored, and BLAS keeps its own
-thread count.
+its error is still the one raised.  Below the size no thread starts: per-array jobs
+on the mclr workloads cost eval_wide_n400 12% (README, "Per-round records").
+
+Every runner call pins the OpenBLAS that numpy's wheels bundle to one thread for its
+whole length, the worker included, and restores the count afterwards: a matrix product
+split over threads can sum in another order, so the metrics would depend on the thread
+count.  Where that library is missing, runs go unpinned and say so on stderr, once per
+process.  ``PFB_THREADS`` stays ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import functools
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -106,6 +108,7 @@ def _require_sample_size(sample_size, num_clients) -> None:
 
 
 def init_rng(seed: int) -> np.random.Generator:
+    """Internal: the generator of the initial parameters."""
     return np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
 
 
@@ -114,17 +117,19 @@ def sample_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 def client_rng(seed: int, client_index: int, round_index: int) -> np.random.Generator:
+    """Internal: the generator of one client's local update in one round."""
     return np.random.default_rng(
         np.random.SeedSequence((seed, client_index, round_index, TAG_LOCAL)))
 
 
 def eval_rng(seed: int, client_index: int, round_index: int) -> np.random.Generator:
+    """Internal: the generator of one client's personalization after one round."""
     return np.random.default_rng(
         np.random.SeedSequence((seed, client_index, round_index, TAG_EVAL)))
 
 
 def sample_clients(seed: int, round_index: int, num_clients: int, sample_size: int) -> np.ndarray:
-    """Choose the participating clients for one round, uniformly without replacement."""
+    """Internal: the participating clients of one round, uniformly without replacement."""
     _require_sample_size(sample_size, num_clients)
     rng = sample_rng(seed, round_index)
     return np.sort(rng.choice(num_clients, size=sample_size, replace=False))
@@ -175,7 +180,7 @@ class PriorStrategy:
 def compute_prior_mean(strategy: PriorStrategy, oracle: LossOracle, w_local: np.ndarray,
                        memorized_local: np.ndarray, theta_prev: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-    """Prior mean mu for one local step under the given strategy.
+    """Internal: the prior mean mu for one local step under the given strategy.
 
     A gradient-shift kind draws one batch from ``rng`` and takes the loss
     gradient on it at w (mh_variant again at its lookahead point, on the same
@@ -250,7 +255,7 @@ class RunConfig:
 
 @dataclass
 class ClientState:
-    """One client's persistent state across rounds.
+    """Internal: one client's persistent state across rounds.
 
     The client indexes the shared dataset: ``oracle`` gathers its train rows
     and ``test_rows`` lists its test rows, so it holds no feature array.
@@ -268,7 +273,7 @@ class ClientState:
 
 
 def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> list[ClientState]:
-    """One client per partition entry; every client's theta and memorized model is ``w0`` itself.
+    """Internal: one client per partition entry, each holding ``w0`` as theta and memorized model.
 
     Here a partition meets its dataset, so a ConfigError names the first client whose rows
     break a rule: 1-d arrays, a nonempty train split, integer rows, all in [0, n), and
@@ -308,7 +313,7 @@ def _check_bounded(w: np.ndarray, round_index: int, client_index: int,
 def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
                 mmap: MirrorMap, rng: np.random.Generator,
                 round_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Run one client's local steps and update its persistent state.
+    """Internal: run one client's local steps and update its persistent state.
 
     Per local step, the generator is consumed in a fixed order: first by the
     strategy's prior (``compute_prior_mean``), then one batch per inner
@@ -332,7 +337,7 @@ def local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
 
 def fedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
                        rng: np.random.Generator, round_index: int = 0) -> np.ndarray:
-    """Plain local SGD on the client's loss."""
+    """Internal: plain local SGD on the client's loss."""
     oracle = client.oracle
     w = w_global
     for r in range(cfg.local_steps):
@@ -344,7 +349,7 @@ def fedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig
 
 def perfedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
                           rng: np.random.Generator, round_index: int = 0) -> np.ndarray:
-    """First-order meta step: descend at a lookahead point reached by an inner step.
+    """Internal: first-order meta steps, each descending at a lookahead point.
 
     Each local step draws two batches: the inner step moves to
     w - alpha * grad(w; batch1), the outer step applies that point's gradient
@@ -363,7 +368,7 @@ def perfedavg_local_round(client: ClientState, w_global: np.ndarray, cfg: RunCon
 
 def perfedavg_personalize(client: ClientState, w_global: np.ndarray, cfg: RunConfig,
                           rng: np.random.Generator) -> np.ndarray:
-    """Personalized model for evaluation: two fine-tune steps from the global model."""
+    """Internal: the personalized model, two fine-tune steps from the global model."""
     oracle = client.oracle
     idx = oracle.draw_batch(rng)
     theta = w_global - cfg.alpha_m * oracle.gradient(w_global, idx)
@@ -372,14 +377,14 @@ def perfedavg_personalize(client: ClientState, w_global: np.ndarray, cfg: RunCon
 
 
 def finetune_trick(theta: np.ndarray, oracle: LossOracle, step: float) -> np.ndarray:
-    """One full-batch gradient step on the client's train split."""
+    """Internal: one full-batch gradient step on the client's train split."""
     if not step >= 0:
         raise ValueError(f"step must be nonnegative, got {step}")
     return theta - step * oracle.gradient(theta, None)
 
 
 def aggregate(w_old: np.ndarray, collected, beta: float) -> np.ndarray:
-    """Server update (1 - beta) * w_old + beta * mean(collected)."""
+    """Internal: the server update (1 - beta) * w_old + beta * mean(collected)."""
     if len(collected) == 0:
         raise ValueError("nothing to aggregate")
     stacked = np.stack(collected)
@@ -409,7 +414,7 @@ class _Forwarded:
 
 
 class Evaluator:
-    """Per-round metric computation over a fixed client population.
+    """Internal: per-round metric computation over a fixed client population.
 
     Parameter arrays are never written in place, so a client that still holds the theta it
     held when last scored keeps its scores.  Per client it keeps that theta, made read-only,
@@ -421,14 +426,12 @@ class Evaluator:
     pass per (array, split size) on their splits.  On the pooled set ``w`` gets
     ``per_class_stats`` and each distinct new array its per-class losses only, one forward
     per array per call, so an array several clients hold (the initial vector in round 1,
-    FedAvg's global model, which is also ``w``) is forwarded once.  Every split is gathered
-    from the dataset by the clients' test rows.
+    FedAvg's global model, which is also ``w``) is forwarded once.
 
     Inside a ``with`` block, and only when one pooled-set forward costs at least
     WORKER_MIN_MULADDS, ``start_pooled`` and ``start_personalized`` run the pooled-set
     forward of a new array on one worker thread, and ``compute`` scores that array from the
-    worker's logits; leaving the block stops the worker.  Outside one, every forward runs
-    inline.
+    worker's logits; leaving the block stops the worker; outside one, every forward runs inline.
     """
 
     def __init__(self, model, dataset, clients: list[ClientState],
@@ -557,6 +560,34 @@ class Evaluator:
         )
 
 
+@functools.cache
+def _openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, looked up once."""
+    try:
+        [path] = (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so")
+        lib = ctypes.CDLL(str(path))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype, set_.argtypes = [], ctypes.c_int, [ctypes.c_int]
+        return get, set_
+    except (ValueError, OSError, AttributeError):  # not a numpy wheel's OpenBLAS: run unpinned
+        print("warning: numpy's bundled OpenBLAS was not found; the metrics may depend on the "
+              "BLAS thread count", file=sys.stderr)
+        return (lambda: None), (lambda count: None)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread (see above), restoring its count on exit."""
+    get, set_ = _openblas()
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+@_one_blas_thread()
 def _run(cfg: RunConfig, dataset, partition, model, local_update,
          personalize=None) -> RunHistory:
     """The round loop every method shares: sample, update locally, aggregate, personalize.

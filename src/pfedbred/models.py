@@ -150,7 +150,7 @@ def make_model(kind: str, num_features: int, num_classes: int):
 
 
 class LossOracle:
-    """Mini-batch loss/gradient access to one client's rows of a shared dataset.
+    """Internal: mini-batch loss/gradient access to one client's rows of a shared dataset.
 
     The oracle keeps the dataset's ``features`` and ``labels`` and the client's
     ``rows`` into them, never a copy of those rows; ``Dataset`` owns the row

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from pfedbred import (MIRROR_MAPS, SQUARED_NORM, Dataset, Dnn, Mclr, Partition,
-                      PriorStrategy, RunConfig, aggregate,
+                      PriorStrategy, RunConfig,
                       bregman_divergence, bregman_prox, envelope_gradient,
                       envelope_value, load_idx, loss_deviation, gce,
                       partition_dirichlet, partition_label_shard, run_fedavg,
                       run_pfedbred, savitzky_golay, synth_gaussian_mixture)
 from pfedbred.cli import parse_config, run_experiment
+from pfedbred.fl import aggregate
 
 from .helpers import QuadraticLoss, dnn_pre_activations, record_global_models
 

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfedbred import ConfigError, cli, save_csv, synth_gaussian_mixture
+from pfedbred import ConfigError, cli, fl, save_csv, synth_gaussian_mixture
 from pfedbred.cli import build_dataset, main, parse_config, run_experiment
 
 from .helpers import write_idx_images, write_idx_labels
@@ -288,23 +289,27 @@ def test_run_experiment_pins_one_blas_thread_and_restores_the_count(tmp_path, mo
         pytest.skip("numpy does not bundle OpenBLAS here")
     lib = ctypes.CDLL(str(libs[0]))
     get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    previous, seen, runner = get(), [], cli.RUNNERS["pfedbred"]
+    previous, seen, aggregate = get(), [], fl.aggregate
 
+    # the runner pins the count, so it is read inside the run, at each aggregation
     def recording(*args):
         seen.append(get())
-        return runner(*args)
+        return aggregate(*args)
 
-    monkeypatch.setitem(cli.RUNNERS, "pfedbred", recording)
+    monkeypatch.setattr(fl, "aggregate", recording)
     set_(2)
     try:
         run_experiment(parse_config(None, dict(SYNTH, repeats=2, out=str(tmp_path))))
-        assert seen == [1, 1] and get() == 2
+        assert seen == [1] * 6 and get() == 2  # 2 repeats of T=3 rounds
     finally:
         set_(previous)
 
 
 def test_run_experiment_runs_unpinned_without_bundled_openblas(tmp_path, monkeypatch, capsys):
+    # a fresh lookup cache, so the missing library is looked up, and reported, once here
+    monkeypatch.setattr(fl, "_openblas", functools.cache(fl._openblas.__wrapped__))
     monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
-    run_experiment(parse_config(None, dict(SYNTH, out=str(tmp_path / "runs"))))
+    for out in ("a", "b"):
+        run_experiment(parse_config(None, dict(SYNTH, out=str(tmp_path / out))))
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "OpenBLAS was not found" in err

@@ -87,6 +87,13 @@ def test_out_of_range_value_names_its_key(name, value):
         parse_config(None, dict(BASE, **{name: value}))
 
 
+@pytest.mark.parametrize("value", [["", "x"], [1, None]], ids=["empty-path", "not-strings"])
+def test_dataset_idx_needs_two_nonempty_paths(value):
+    # a list is held to the string form's rule, so a bad entry fails here, naming the key
+    with pytest.raises(ConfigError, match="'dataset_idx'"):
+        parse_config(None, {"dataset_idx": value})
+
+
 def test_non_finite_json_values_are_config_errors(tmp_path):
     # json.load accepts the non-standard tokens Infinity and NaN, and integers of any size
     for token in ("Infinity", "-Infinity", "NaN", "1" + "0" * 400):

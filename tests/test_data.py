@@ -268,7 +268,8 @@ def test_csv_rejects_bad_header(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("label,f0,f1\n0,1.0\n1,2.0\n", "rows have 2 fields, header has 3"),
     ("label,f0\n0,1.0\n0.5,2.0\n", "labels must be integers"),
-], ids=["field-count", "float-label"])
+    ("label,f0\n0,1.0\n2.00001,3.0\n", "labels must be integers"),
+], ids=["field-count", "float-label", "near-integer-label"])
 def test_csv_rejects_bad_rows(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)

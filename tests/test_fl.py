@@ -1,15 +1,21 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pfedbred import (ClientState, ConfigError, DivergenceError, Dnn, Evaluator, LossOracle,
-                      Mclr, Partition, PriorStrategy, RunConfig, SQUARED_NORM, aggregate,
-                      client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
-                      init_rng, local_round, make_clients, partition_dirichlet,
-                      perfedavg_local_round, run_fedavg, run_pfedbred, run_perfedavg_fo,
-                      sample_clients)
+from pfedbred import (ConfigError, DivergenceError, Dnn, Mclr, Partition, PriorStrategy,
+                      RunConfig, SQUARED_NORM, fl, partition_dirichlet, run_fedavg,
+                      run_pfedbred, run_perfedavg_fo)
 from pfedbred.errors import DimensionError
-from pfedbred.fl import DIVERGENCE_LIMIT, _check_bounded
-from pfedbred.models import cross_entropy_and_softmax
+from pfedbred.fl import (DIVERGENCE_LIMIT, ClientState, Evaluator, _check_bounded, aggregate,
+                         client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
+                         init_rng, local_round, make_clients, perfedavg_local_round,
+                         sample_clients)
+from pfedbred.models import LossOracle, cross_entropy_and_softmax
 
 from .helpers import QuadraticLoss, even_partition, record_global_models, two_blob_dataset
 
@@ -811,3 +817,31 @@ def test_finetune_divergent_personalization_raises(blob_setup):
         run_fedavg(small_run_config(alpha=1e12, ft=True), ds, part, model)
     assert err.value.round_index == 1
     assert err.value.step_index is None
+
+
+def test_library_run_does_not_depend_on_blas_threads(tmp_path):
+    # the library twin of test_cli.py's check: a 784-feature dnn, whose products OpenBLAS
+    # splits over two threads unless the runner pins it to one
+    src = str(Path(fl.__file__).resolve().parent.parent)
+    script = """
+import pickle, sys
+from pfedbred import Dnn, RunConfig, partition_label_shard, run_perfedavg_fo, synth_gaussian_mixture
+ds = synth_gaussian_mixture(10, 784, 60, 1.0, seed=0)
+part = partition_label_shard(ds, 10, 10, seed=0)
+cfg = RunConfig(num_rounds=4, local_steps=3, sample_size=3, num_clients=10)
+history = run_perfedavg_fo(cfg, ds, part, Dnn(784, 10))
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump((history.rounds, history.final_global), fh)
+"""
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"{threads}.pkl"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True,
+                       capture_output=True)
+        with open(out, "rb") as fh:
+            runs.append(pickle.load(fh))
+    (rounds_1, global_1), (rounds_2, global_2) = runs
+    assert rounds_1 == rounds_2
+    assert np.array_equal(global_1, global_2)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfedbred import (ClientState, ConfigError, Dataset, DegenerateInputError, Dnn, Evaluator,
-                      LossOracle, Mclr, gce, loss_deviation, partition_dirichlet, per_class_stats,
-                      savitzky_golay, synth_gaussian_mixture)
+from pfedbred import (ConfigError, Dataset, DegenerateInputError, Dnn, Mclr, gce,
+                      loss_deviation, partition_dirichlet, per_class_stats, savitzky_golay,
+                      synth_gaussian_mixture)
 from pfedbred.errors import DimensionError
+from pfedbred.fl import ClientState, Evaluator
 from pfedbred.metrics import class_groups, class_means, stacked_class_stats
-from pfedbred.models import cross_entropy, softmax
+from pfedbred.models import LossOracle, cross_entropy, softmax
 
 ALWAYS_ZERO = np.array([0.0, 0.0, 1.0, 0.0])  # Mclr(1, 2) params: bias favors class 0
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pfedbred import Dataset, Dnn, LossOracle, Mclr, make_model
+from pfedbred import Dataset, Dnn, Mclr, make_model
 from pfedbred.errors import DimensionError, NumericalError
-from pfedbred.models import softmax
+from pfedbred.models import LossOracle, softmax
 
 from .helpers import dnn_pre_activations
 
