@@ -10,10 +10,10 @@ per-round metrics per repeat, and a CSV summarizing the final round across
 repeats.
 
 Repeats run one after another in this process, each on one BLAS thread (see
-``pfedbred.fl``).  Every repeat's partition is built before the directory is
-created, so a partition that cannot be built leaves no directory.  A run that
-fails in training, or on a config error found only there, also writes
-``status.json`` into its directory, saying where and why it failed.
+``pfedbred.fl``).  The model and every repeat's partition are built before the
+directory is created, so a model or partition that cannot be built leaves no
+directory.  A run that fails in training, or on a config error found only there,
+also writes ``status.json`` into its directory, saying where and why it failed.
 """
 
 from __future__ import annotations
@@ -327,6 +327,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     dataset = build_dataset(spec)
     partitions = [build_partition(spec, dataset, spec.seed + repeat)
                   for repeat in range(spec.repeats)]
+    model = make_model(spec.model, dataset.num_features, dataset.num_classes)  # draws nothing
     root = Path(spec.out)
     root.mkdir(parents=True, exist_ok=True)
     run_dir = _new_run_dir(root)
@@ -337,7 +338,6 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     finals = []
     for repeat, partition in enumerate(partitions):
         seed = spec.seed + repeat
-        model = make_model(spec.model, dataset.num_features, dataset.num_classes)
         try:
             history = RUNNERS[spec.method](spec.run_config(seed), dataset, partition, model)
         except (ConfigError, DivergenceError, DomainError, NumericalError) as exc:

@@ -10,7 +10,9 @@ a uniform spread.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,7 +234,11 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(fh, count: int, offset: int, path, what: str) -> bytes:
-    buf = fh.read(count)
+    chunks, left = [], count  # 64 MiB a read at most: a corrupt header may claim 2**48 bytes
+    while left and (chunk := fh.read(min(left, 1 << 26))):
+        chunks.append(chunk)
+        left -= len(chunk)
+    buf = b"".join(chunks)  # one chunk is returned as it is, without a copy
     if len(buf) != count:
         raise IdxFormatError(
             f"{path}: truncated {what} at byte offset {offset}: "
@@ -248,13 +254,10 @@ def _read_idx(path, expected_magic: int) -> np.ndarray:
                 f"{path}: bad magic 0x{magic:08x} at byte offset 0, "
                 f"expected 0x{expected_magic:08x}")
         ndim = magic & 0xFF
-        dims = []
-        offset = 4
-        for _ in range(ndim):
-            dims.append(struct.unpack(">I", _read_exact(fh, 4, offset, path, "dimension header"))[0])
-            offset += 4
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 0
-        if count <= 0:
+        dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, 4, path, "dimension header"))
+        offset = 4 + 4 * ndim
+        count = math.prod(dims)  # exact: an int64 product would wrap past 2**63
+        if count == 0:
             raise IdxFormatError(f"{path}: empty dimension header at byte offset 4")
         raw = _read_exact(fh, count, offset, path, "payload")
         data = np.frombuffer(raw, dtype=np.uint8)
@@ -280,7 +283,11 @@ def load_csv(path) -> Dataset:
     cols = header.split(",")
     if not cols or cols[0] != "label" or any(c != f"f{i}" for i, c in enumerate(cols[1:])):
         raise ValueError(f"{path}: expected header 'label,f0,f1,...', got {header!r}")
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is the error below, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if raw.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
     if raw.shape[1] != len(cols):
         raise ValueError(f"{path}: rows have {raw.shape[1]} fields, header has {len(cols)}")
     labels = raw[:, 0].astype(np.int64)

@@ -22,7 +22,9 @@ personalization step after aggregation.
 Clients index the shared dataset: a client's ``LossOracle`` holds the
 dataset's arrays and the client's train rows, and ``ClientState.test_rows``
 its test rows, so no client keeps a copy of its examples.  ``make_clients``,
-where a partition first meets its dataset, checks every client's rows.
+where a partition first meets its dataset, checks every client's rows, the
+nonempty test split among them.  The round loop runs it and ``RunConfig.validate``
+first, and the internals here trust the two and check nothing again.
 
 Determinism: every stochastic choice is drawn from a generator seeded by a
 tuple of (run seed, client index, round index, purpose tag), and clients are
@@ -71,8 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInputError, DimensionError, DivergenceError,
-                     is_int)
+from .errors import ConfigError, DegenerateInputError, DivergenceError, is_int
 from .metrics import (RoundMetrics, class_groups, class_means, gce, loss_deviation,
                       per_class_stats, stacked_class_stats)
 from .mirror import SQUARED_NORM, MirrorMap, bregman_prox, envelope_gradient
@@ -102,11 +103,6 @@ def _require(ok: bool, key: str, name: str, rule: str, value) -> None:
         raise ConfigError(f"config key {key!r} ({name}) must be finite, got {value!r}")
 
 
-def _require_sample_size(sample_size, num_clients) -> None:
-    _require(is_int(sample_size) and 1 <= sample_size <= num_clients, "S", "sample_size",
-             f"be an integer in [1, N={num_clients}]", sample_size)
-
-
 def init_rng(seed: int) -> np.random.Generator:
     """Internal: the generator of the initial parameters."""
     return np.random.default_rng(np.random.SeedSequence((seed, TAG_INIT)))
@@ -130,7 +126,6 @@ def eval_rng(seed: int, client_index: int, round_index: int) -> np.random.Genera
 
 def sample_clients(seed: int, round_index: int, num_clients: int, sample_size: int) -> np.ndarray:
     """Internal: the participating clients of one round, uniformly without replacement."""
-    _require_sample_size(sample_size, num_clients)
     rng = sample_rng(seed, round_index)
     return np.sort(rng.choice(num_clients, size=sample_size, replace=False))
 
@@ -244,7 +239,8 @@ class RunConfig:
                           ("N", "num_clients"), ("batch", "batch_size")):
             value = getattr(self, name)
             _require(is_int(value) and value >= 1, key, name, "be an integer >= 1", value)
-        _require_sample_size(self.sample_size, self.num_clients)
+        _require(is_int(self.sample_size) and 1 <= self.sample_size <= self.num_clients, "S",
+                 "sample_size", f"be an integer in [1, N={self.num_clients}]", self.sample_size)
         _require(self.lam > 0, "lambda", "lam", "be positive", self.lam)
         _require(self.alpha_m >= 0, "alpha_m", "alpha_m", "be nonnegative", self.alpha_m)
         _require(self.alpha > 0, "alpha", "alpha", "be positive", self.alpha)
@@ -276,8 +272,8 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
     """Internal: one client per partition entry, each holding ``w0`` as theta and memorized model.
 
     Here a partition meets its dataset, so a ConfigError names the first client whose rows
-    break a rule: 1-d arrays, a nonempty train split, integer rows, all in [0, n), and
-    disjoint splits.
+    break a rule: 1-d arrays, nonempty train and test splits, integer rows, all in [0, n),
+    and disjoint splits.
     """
     owner = np.full(dataset.n, -1)  # owner[r] == i: row r is in client i's train split
     clients = []
@@ -286,13 +282,15 @@ def make_clients(dataset, partition, model, batch_size: int, w0: np.ndarray) -> 
             raise ConfigError(f"client {i} has rows that are not 1-d arrays")
         if tr.size == 0:
             raise ConfigError(f"client {i} has an empty train split")
-        if not all(np.issubdtype(r.dtype, np.integer) for r in (tr, te) if r.size):  # not bool
+        if te.size == 0:  # the evaluator weighs each client by its test split's size
+            raise ConfigError(f"client {i} has an empty local test split")
+        if not all(np.issubdtype(r.dtype, np.integer) for r in (tr, te)):  # not bool
             raise ConfigError(f"client {i} has non-integer rows ({tr.dtype}, {te.dtype})")
         rows = np.concatenate((tr, te))
         if rows.min() < 0 or rows.max() >= dataset.n:  # a negative row would index from the end
             raise ConfigError(f"client {i} has rows outside the dataset's {dataset.n} rows")
         owner[tr] = i  # np.intersect1d would import numpy.ma
-        if te.size and (owner[te] == i).any():
+        if (owner[te] == i).any():
             raise ConfigError(f"client {i} has overlapping train/test indices")
         clients.append(ClientState(index=i, oracle=LossOracle(model, dataset, tr, batch_size),
                                    test_rows=te, theta=w0, memorized_local=w0))
@@ -378,20 +376,12 @@ def perfedavg_personalize(client: ClientState, w_global: np.ndarray, cfg: RunCon
 
 def finetune_trick(theta: np.ndarray, oracle: LossOracle, step: float) -> np.ndarray:
     """Internal: one full-batch gradient step on the client's train split."""
-    if not step >= 0:
-        raise ValueError(f"step must be nonnegative, got {step}")
     return theta - step * oracle.gradient(theta, None)
 
 
 def aggregate(w_old: np.ndarray, collected, beta: float) -> np.ndarray:
     """Internal: the server update (1 - beta) * w_old + beta * mean(collected)."""
-    if len(collected) == 0:
-        raise ValueError("nothing to aggregate")
-    stacked = np.stack(collected)
-    if stacked.shape[1:] != w_old.shape:
-        raise DimensionError(
-            f"collected shape {stacked.shape[1:]} does not match global {w_old.shape}")
-    return (1.0 - beta) * w_old + beta * stacked.mean(axis=0)
+    return (1.0 - beta) * w_old + beta * np.stack(collected).mean(axis=0)
 
 
 @dataclass
@@ -442,11 +432,7 @@ class Evaluator:
         self.num_classes = dataset.num_classes
         self.ft_step = ft_step
         self.track_deviations = track_deviations
-        if not clients:
-            raise ConfigError("no clients to evaluate")
         self.sizes = np.array([c.test_rows.shape[0] for c in clients], dtype=np.float64)
-        if not self.sizes.all():
-            raise ConfigError(f"client {np.argmin(self.sizes)} has an empty local test split")
         pooled = np.concatenate([c.test_rows for c in clients])
         self.global_x, self.global_y = self.features[pooled], self.labels[pooled]
         self._pooled_groups = class_groups(self.global_y[None], self.num_classes)
@@ -500,16 +486,14 @@ class Evaluator:
         logits = self._pooled_model(theta).logits(theta, self.global_x[None])
         return class_means(cross_entropy(logits, self.global_y[None]), *self._pooled_groups)[0]
 
-    def compute(self, round_index: int, w: np.ndarray, env_grads=None,
-                thetas=None) -> RoundMetrics:
+    def compute(self, round_index: int, w: np.ndarray, env_grads: list,
+                thetas: list) -> RoundMetrics:
         """The round's metrics for global model ``w`` and one personalized model per client.
 
-        ``thetas`` defaults to the clients' current thetas; the round loop passes the ones
-        they held at the end of the round, since it evaluates a round after the next one's
-        training.
+        ``thetas`` are the ones the clients held at the end of the round, not their current
+        ones: the round loop evaluates a round after the next one's training.  ``env_grads``
+        are the round's envelope gradients, empty for methods without one.
         """
-        if thetas is None:
-            thetas = [c.theta for c in self.clients]
         models = {}  # client index -> the model to score, for each client with a new theta
         for i, (th, scored) in enumerate(zip(thetas, self._scored)):
             if th is not scored:
@@ -544,7 +528,7 @@ class Evaluator:
             dev_global = {c: float(dg[0, c]) for c in range(self.num_classes)}
             dev_local = {c: float(dl[0, c]) for c in range(self.num_classes)}
         gce_value = None
-        if env_grads is not None and len(env_grads) >= 2:
+        if len(env_grads) >= 2:
             try:
                 gce_value = gce(env_grads)
             except DegenerateInputError:

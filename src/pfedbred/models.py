@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, is_int
+from .errors import DimensionError, NumericalError
 
 LEAKY_SLOPE = 0.01
 
@@ -153,16 +153,14 @@ class LossOracle:
     """Internal: mini-batch loss/gradient access to one client's rows of a shared dataset.
 
     The oracle keeps the dataset's ``features`` and ``labels`` and the client's
-    ``rows`` into them, never a copy of those rows; ``Dataset`` owns the row
-    checks.  ``draw_batch`` samples ``batch_size`` of the ``n`` positions in
-    ``rows`` uniformly without replacement.  When the batch covers all of them
-    it returns ``arange(n)`` without consuming the generator, so full-batch
-    runs are reproducible regardless of how often batches are drawn.
+    ``rows`` into them, never a copy of those rows.  ``draw_batch`` samples
+    ``batch_size`` of the ``n`` positions in ``rows`` uniformly without
+    replacement.  When the batch covers all of them it returns ``arange(n)``
+    without consuming the generator, so full-batch runs are reproducible
+    regardless of how often batches are drawn.
     """
 
     def __init__(self, model, dataset, rows: np.ndarray, batch_size: int):
-        if not (is_int(batch_size) and batch_size >= 1):
-            raise ValueError(f"batch_size must be >= 1 (an integer), got {batch_size!r}")
         self.model = model
         self.features = dataset.features
         self.labels = dataset.labels

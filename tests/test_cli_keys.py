@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,31 @@ def test_malformed_flags_exit_one(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+NO_MODEL = "ValueError: need num_features >= 1, num_classes >= 2, hidden >= 1"
+
+
+@pytest.mark.parametrize("name, content, error", [
+    ("data.csv", b"label,f0\n" + b"0,0.5\n" * 20, NO_MODEL),
+    ("data.csv", b"label\n" + b"0\n1\n" * 10, NO_MODEL),
+    ("data.csv", b"label,f0\n", "ValueError: {path}: no data rows"),
+    ("images", struct.pack(">4I", 0x00000803, 65536, 65536, 65536) + bytes(100),
+     "IdxFormatError: {path}: truncated payload at byte offset 16: wanted 281474976710656 "
+     "bytes, got 100"),
+], ids=["one-class", "no-features", "no-rows", "idx-claims-2**48"])
+def test_a_file_no_model_can_run_on_exits_one(tmp_path, name, content, error):
+    # the real CLI, whose stderr shows warnings and tracebacks: one error line, and no run
+    # directory, since the dataset, the model and the partitions come before it
+    path = tmp_path / name
+    path.write_bytes(content)
+    source = (["--dataset-csv", str(path)] if name.endswith(".csv")
+              else ["--dataset-idx", f"{path},{tmp_path / 'labels'}"])
+    proc = run_python(["-m", "pfedbred.cli", *source, "--partition", "label_shard:1", "--N", "4",
+                       "--S", "2", "--T", "2", "--out", str(tmp_path / "runs")])
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {error.format(path=path)}\n"
     assert not (tmp_path / "runs").exists()
 
 

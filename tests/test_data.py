@@ -1,4 +1,7 @@
+import gzip
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +235,21 @@ def test_idx_truncated_payload_names_offset(tmp_path, idx_pair):
         load_idx(trunc, lab_path)
 
 
+@pytest.mark.parametrize("dims, opener", [
+    ((65536, 65536, 65536), open), ((65536, 65536, 65536), gzip.open), ((2**31, 2**31, 4), open),
+], ids=["claims-2**48", "claims-2**48-gzip", "wraps-int64"])
+def test_idx_header_claiming_more_than_the_file_holds(tmp_path, idx_pair, dims, opener):
+    # 116 bytes: a read of the header's count raised MemoryError, and the int64 product of
+    # (2**31, 2**31, 4) wrapped to 0, an "empty" header
+    _, lab_path, _, _ = idx_pair
+    path = tmp_path / "claims-too-much"
+    with opener(path, "wb") as fh:
+        fh.write(struct.pack(">4I", 0x00000803, *dims) + bytes(100))
+    with pytest.raises(IdxFormatError, match=rf"truncated payload at byte offset 16: "
+                                             rf"wanted {math.prod(dims)} bytes, got 100$"):
+        load_idx(path, lab_path)
+
+
 def test_idx_empty_dimension_header(tmp_path, idx_pair):
     _, lab_path, _, _ = idx_pair
     empty = tmp_path / "empty-images"
@@ -269,11 +287,13 @@ def test_csv_rejects_bad_header(tmp_path):
     ("label,f0,f1\n0,1.0\n1,2.0\n", "rows have 2 fields, header has 3"),
     ("label,f0\n0,1.0\n0.5,2.0\n", "labels must be integers"),
     ("label,f0\n0,1.0\n2.00001,3.0\n", "labels must be integers"),
-], ids=["field-count", "float-label", "near-integer-label"])
+    ("label,f0,f1\n", "bad.csv: no data rows$"),
+], ids=["field-count", "float-label", "near-integer-label", "no-rows"])
 def test_csv_rejects_bad_rows(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+        warnings.simplefilter("error")  # the error is the one report: no loadtxt warning
         load_csv(path)
 
 

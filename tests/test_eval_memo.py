@@ -167,7 +167,7 @@ def test_memoized_evaluation_matches_from_scratch(monkeypatch, name):
                 calls[-1][4] += 1
 
     class Checked(fl.Evaluator):
-        def compute(self, round_index, w, env_grads=None, thetas=None):
+        def compute(self, round_index, w, env_grads, thetas):
             # the round loop scores a round after the next one trains, from the round's thetas
             assert thetas is not None
             pooled_x[:] = [self.global_x]
@@ -298,5 +298,5 @@ def test_worker_forward_keeps_the_callers_numpy_error_state():
         with fl.Evaluator(model, ds, clients) as evaluator:
             evaluator.start_pooled(overflowing)
             with pytest.raises(NumericalError, match="non-finite values in logits"):
-                evaluator.compute(1, overflowing)
+                evaluator.compute(1, overflowing, [], [c.theta for c in clients])
     assert [off_main for _, _, off_main in forwards] == [True]

@@ -10,11 +10,9 @@ import pytest
 from pfedbred import (ConfigError, DivergenceError, Dnn, Mclr, Partition, PriorStrategy,
                       RunConfig, SQUARED_NORM, fl, partition_dirichlet, run_fedavg,
                       run_pfedbred, run_perfedavg_fo)
-from pfedbred.errors import DimensionError
-from pfedbred.fl import (DIVERGENCE_LIMIT, ClientState, Evaluator, _check_bounded, aggregate,
-                         client_rng, compute_prior_mean, fedavg_local_round, finetune_trick,
-                         init_rng, local_round, make_clients, perfedavg_local_round,
-                         sample_clients)
+from pfedbred.fl import (DIVERGENCE_LIMIT, ClientState, _check_bounded, aggregate, client_rng,
+                         compute_prior_mean, fedavg_local_round, finetune_trick, init_rng,
+                         local_round, make_clients, perfedavg_local_round, sample_clients)
 from pfedbred.models import LossOracle, cross_entropy_and_softmax
 
 from .helpers import QuadraticLoss, even_partition, record_global_models, two_blob_dataset
@@ -43,18 +41,6 @@ def test_sample_clients_sorted_unique_deterministic():
     assert np.array_equal(s1, np.sort(s1))
     assert len(np.unique(s1)) == 5
     assert np.array_equal(np.sort(sample_clients(0, 1, 6, 6)), np.arange(6))
-
-
-def test_sample_clients_validation():
-    with pytest.raises(ConfigError):
-        sample_clients(0, 0, 10, 0)
-    with pytest.raises(ConfigError):
-        sample_clients(0, 0, 10, 11)
-    # the rule RunConfig.validate applies, naming the config key
-    for sample_size in (5, 1.5, True):
-        with pytest.raises(ConfigError, match=r"config key 'S' \(sample_size\) must be an integer "
-                                              r"in \[1, N=4\]"):
-            sample_clients(0, 1, 4, sample_size)
 
 
 def test_rng_streams_are_disjoint():
@@ -288,6 +274,42 @@ def test_check_bounded_rejects_nonfinite_and_huge(bad):
         _check_bounded(np.array([0.0, bad]), 3, 2, 4)
 
 
+@pytest.mark.parametrize("kind", ["vanilla", "lg"])
+def test_strategy_reaches_its_closed_form_fixed_point(kind):
+    # three clients f_i(p) = 0.5 (p - c_i)^T A_i (p - c_i).  The exact prox gives the envelope
+    # gradient lam (mu - theta) = M_i (mu - c_i) with M_i = (A_i^-1 + I / lam)^-1, so the server
+    # stops where sum_i M_i (mu_i(w) - c_i) = 0: for vanilla mu_i(w) = w, the minimizer of the
+    # summed Moreau envelopes (pFedMe's outer objective); for lg mu_i(w) = w - eta_alpha A_i
+    # (w - c_i), taken as a constant in the local step, without mu's Jacobian
+    lam, eta_alpha, dim = 15.0, 0.05, 4
+    rng = np.random.default_rng(0)
+    centers, hessians = [], []
+    for _ in range(3):
+        q = rng.normal(size=(dim, dim))
+        centers.append(rng.normal(size=dim))
+        hessians.append(q @ q.T / 4 + 0.5 * np.eye(dim))
+    envelopes = [np.linalg.inv(np.linalg.inv(a) + np.eye(dim) / lam) for a in hessians]
+    cfg = RunConfig(
+        # an inner contraction of at most 1 - (lam + 0.5) / (lam + max eig A_i): K=20 is exact
+        alpha=1.0 / (lam + max(np.linalg.eigvalsh(a).max() for a in hessians)), prox_steps=20,
+        alpha_m=1.0 / np.linalg.eigvalsh(np.mean(envelopes, axis=0)).max(), lam=lam, beta=1.0,
+        local_steps=1, sample_size=3, num_clients=3, num_rounds=400,
+        strategy=PriorStrategy(kind=kind, eta_alpha=eta_alpha))
+    cfg.validate()
+    w = np.zeros(dim)
+    clients = [ClientState(index=i, oracle=QuadraticLoss(c, a), test_rows=np.arange(1),
+                           theta=w, memorized_local=w)
+               for i, (c, a) in enumerate(zip(centers, hessians))]
+    for t in range(1, cfg.num_rounds + 1):
+        w = aggregate(w, [local_round(c, w, cfg, SQUARED_NORM, client_rng(0, c.index, t), t)[0]
+                          for c in clients], cfg.beta)
+    # mu_i(w) - c_i = shift_i (w - c_i)
+    shifts = [np.eye(dim) - (kind == "lg") * eta_alpha * a for a in hessians]
+    fixed_point = np.linalg.solve(sum(m @ s for m, s in zip(envelopes, shifts)),
+                                  sum(m @ s @ c for m, s, c in zip(envelopes, shifts, centers)))
+    assert np.abs(w - fixed_point).max() < 1e-12
+
+
 def test_aggregate_examples():
     assert np.allclose(aggregate(np.zeros(2), [np.array([1.0, 1.0]), np.array([3.0, 3.0])],
                                  beta=1.0), [2.0, 2.0])
@@ -310,22 +332,12 @@ def test_aggregate_permutation_invariant():
                        aggregate(np.zeros(4), perm, 1.0), atol=1e-12)
 
 
-def test_aggregate_validation():
-    with pytest.raises(ValueError):
-        aggregate(np.zeros(2), [], beta=1.0)
-    with pytest.raises(DimensionError):
-        aggregate(np.zeros(2), [np.zeros(3)], beta=1.0)
-
-
 def test_finetune_trick():
     oracle = QuadraticLoss([1.0, 1.0])
     theta = np.array([0.0, 0.0])
     assert np.array_equal(finetune_trick(theta, oracle, 0.0), theta)
     moved = finetune_trick(theta, oracle, 0.5)
     assert oracle.value(moved) < oracle.value(theta)
-    for bad in (-0.1, float("nan")):
-        with pytest.raises(ValueError, match="nonnegative"):
-            finetune_trick(theta, oracle, bad)
 
 
 def test_run_config_validation():
@@ -363,6 +375,24 @@ def test_config_rejects_non_integer_counts(key, name, value):
     # each passed the range rule and failed in training with a TypeError, or ran as an int
     with pytest.raises(ConfigError, match=rf"'{key}' \({name}\) must be .*integer"):
         RunConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("sample_size, num_clients", [(0, 10), (11, 10), (5, 4), (1.5, 4),
+                                                      (True, 4)])
+def test_config_rejects_sample_size_outside_one_to_n(sample_size, num_clients):
+    # the one S rule: sample_clients trusts it
+    with pytest.raises(ConfigError, match=r"config key 'S' \(sample_size\) must be an integer "
+                                          rf"in \[1, N={num_clients}\]"):
+        RunConfig(sample_size=sample_size, num_clients=num_clients).validate()
+
+
+@pytest.mark.parametrize("batch_size", [0, True, 2.5, 3.0, np.float64(2.0), "3"])
+def test_config_rejects_bad_batch_size(batch_size):
+    # the one batch-size rule: LossOracle trusts it; accepted, 2.5 would fail later in
+    # draw_batch and True would draw batches of one
+    with pytest.raises(ConfigError, match=r"config key 'batch' \(batch_size\) must be an "
+                                          r"integer >= 1"):
+        RunConfig(batch_size=batch_size).validate()
 
 
 def small_run_config(**kwargs):
@@ -647,6 +677,11 @@ def test_make_clients_indexes_the_shared_dataset():
                  r"non-integer rows \(int64, bool\)", id="bool-rows"),
     pytest.param((np.array([0]), np.array([], dtype=np.int64)), (np.array([1]), np.array([2])),
                  1, "an empty train split", id="empty-train"),
+    # np.array([]) is float64: the empty split is named before its dtype is
+    pytest.param((np.array([3]), np.arange(3)), (np.array([4]), np.array([])), 1,
+                 "an empty local test split", id="empty-test-float64"),
+    pytest.param((np.array([3]), np.arange(3)), (np.array([4]), np.array([], dtype=np.int64)),
+                 1, "an empty local test split", id="empty-test-int64"),
     pytest.param((np.arange(3), np.array([9, 4])), (np.array([4]), np.array([5, 4])), 1,
                  "overlapping train/test indices", id="overlap"),
     pytest.param(([0, 1],), ([2],), 0, "rows that are not 1-d arrays", id="list-rows"),
@@ -661,17 +696,6 @@ def test_make_clients_rejects_rows_outside_the_dataset(train, test, client, mess
     model = Mclr(ds.num_features, 2)
     with pytest.raises(ConfigError, match=rf"^client {client} has {message}"):
         make_clients(ds, part, model, 4, model.init_params(init_rng(0)))
-
-
-def test_an_empty_test_split_of_any_dtype_reaches_the_evaluator():
-    # np.array([]) is float64; an empty split holds no row to check, so the evaluator's own
-    # precondition names it
-    ds = two_blob_dataset(n_per_class=10, seed=0)
-    part = Partition(train=(np.array([3]), np.arange(3)), test=(np.array([4]), np.array([])))
-    model = Mclr(ds.num_features, 2)
-    clients = make_clients(ds, part, model, 4, model.init_params(init_rng(0)))
-    with pytest.raises(ConfigError, match="client 1 has an empty local test split"):
-        Evaluator(model, ds, clients)
 
 
 def test_run_pfedbred_seed_sensitivity(blob_setup):

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfedbred import (ConfigError, Dataset, DegenerateInputError, Dnn, Mclr, gce,
-                      loss_deviation, partition_dirichlet, per_class_stats, savitzky_golay,
-                      synth_gaussian_mixture)
+from pfedbred import (Dataset, DegenerateInputError, Dnn, Mclr, gce, loss_deviation,
+                      partition_dirichlet, per_class_stats, savitzky_golay, synth_gaussian_mixture)
 from pfedbred.errors import DimensionError
 from pfedbred.fl import ClientState, Evaluator
 from pfedbred.metrics import class_groups, class_means, stacked_class_stats
@@ -36,7 +35,8 @@ def clients_on(model, params, test_sets):
 def weighted_local(model, params, test_sets):
     """The round metrics of one model held by every client, as ``Evaluator.compute`` weighs them."""
     params = params.copy()  # compute marks what it scores read-only; the caller's stays writable
-    return Evaluator(model, *clients_on(model, params, test_sets)).compute(1, params)
+    ds, clients = clients_on(model, params, test_sets)
+    return Evaluator(model, ds, clients).compute(1, params, [], [params] * len(clients))
 
 
 def test_per_class_stats_marks_absent_classes():
@@ -86,24 +86,13 @@ def test_weighted_local_equal_accuracy_passes_through():
     assert result.personalized_acc_localtest == pytest.approx(1.0)
 
 
-def test_weighted_local_rejects_empty_test_split():
-    model = Mclr(1, 2)
-    sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64)),
-            (np.zeros((0, 1)), np.zeros(0, dtype=np.int64))]
-    with pytest.raises(ConfigError, match="client 1 has an empty local test split"):
-        Evaluator(model, *clients_on(model, ALWAYS_ZERO, sets))
-    ds, _ = clients_on(model, ALWAYS_ZERO, sets[:1])
-    with pytest.raises(ConfigError, match="no clients to evaluate"):
-        Evaluator(model, ds, [])
-
-
 def test_evaluator_writes_no_gce_for_a_zero_envelope_gradient():
     model = Mclr(1, 2)
     sets = [(np.zeros((5, 1)), np.zeros(5, dtype=np.int64))]
     evaluator = Evaluator(model, *clients_on(model, ALWAYS_ZERO.copy(), sets))
-    w = ALWAYS_ZERO.copy()
-    assert evaluator.compute(1, w, env_grads=[np.eye(4)[0], np.eye(4)[1]]).gce == 0.0
-    assert evaluator.compute(2, w, env_grads=[np.eye(4)[0], np.zeros(4)]).gce is None
+    w, thetas = ALWAYS_ZERO.copy(), [c.theta for c in evaluator.clients]
+    assert evaluator.compute(1, w, [np.eye(4)[0], np.eye(4)[1]], thetas).gce == 0.0
+    assert evaluator.compute(2, w, [np.eye(4)[0], np.zeros(4)], thetas).gce is None
 
 
 def test_gce_unit_values():

@@ -278,12 +278,6 @@ def test_oracle_none_index_means_full_view():
                           oracle.gradient(params, None))
 
 
-def test_oracle_validates_inputs():
-    # the shape of the rows is Dataset's rule (test_data.test_dataset_validation)
-    with pytest.raises(ValueError):
-        LossOracle(Mclr(2, 2), *FOUR, batch_size=0)
-
-
 def test_oracle_indexes_the_shared_dataset():
     # the oracle keeps the dataset's arrays and gathers its rows per call, in row order
     model = Mclr(2, 2)
@@ -300,13 +294,6 @@ def test_oracle_indexes_the_shared_dataset():
     idx = np.array([3, 0])
     assert np.array_equal(oracle.gradient(params, idx), model.grad(params, x[idx], y[idx]))
     assert oracle.value(params, idx) == model.loss(params, x[idx], y[idx])
-
-
-@pytest.mark.parametrize("batch_size", [True, 2.5, 3.0, np.float64(2.0), "3"])
-def test_oracle_rejects_non_integer_batch_size(batch_size):
-    # accepted, 2.5 would fail later in draw_batch and True would draw batches of one
-    with pytest.raises(ValueError, match=r"batch_size must be >= 1 \(an integer\)"):
-        LossOracle(Mclr(2, 2), *FOUR, batch_size)
 
 
 @pytest.mark.parametrize("batch_size, drawn", [(1, 1), (np.int64(3), 3), (10**30, 4)])
