@@ -11,9 +11,10 @@ repeats.
 
 Repeats run one after another in this process, each on one BLAS thread (see
 ``pfedbred.fl``).  The model and every repeat's partition are built before the
-directory is created, so a model or partition that cannot be built leaves no
-directory.  A run that fails in training, or on a config error found only there,
-also writes ``status.json`` into its directory, saying where and why it failed.
+directory is created, and a partition gives each client a train and a test
+example, so a config error (exit 1) leaves no directory.  A run that fails in
+training (``TRAINING_FAILURES``, exit 2) also writes ``status.json`` into its
+directory, saying where and why it failed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .models import make_model
 RUNNERS = {"pfedbred": run_pfedbred, "fedavg": run_fedavg, "perfedavg_fo": run_perfedavg_fo}
 METHODS = tuple(RUNNERS)
 MODELS = ("mclr", "dnn")
+TRAINING_FAILURES = (DivergenceError, DomainError, NumericalError)
 
 
 def _as_int(key: str, value) -> int:
@@ -320,9 +322,9 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
     Repeats run one after another, on one BLAS thread.  ``workers`` is
     accepted for existing callers and ignored: running repeats in parallel
     processes was measured no faster for ``mclr`` and slower for ``dnn``, at
-    about three times the memory.  A ConfigError, DivergenceError,
-    DomainError or NumericalError in training writes ``status.json`` into
-    the run directory before it propagates.
+    about three times the memory.  Every config error is raised before the
+    run directory exists; a training failure (``TRAINING_FAILURES``) writes
+    ``status.json`` into it before it propagates.
     """
     dataset = build_dataset(spec)
     partitions = [build_partition(spec, dataset, spec.seed + repeat)
@@ -340,7 +342,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Path:
         seed = spec.seed + repeat
         try:
             history = RUNNERS[spec.method](spec.run_config(seed), dataset, partition, model)
-        except (ConfigError, DivergenceError, DomainError, NumericalError) as exc:
+        except TRAINING_FAILURES as exc:
             # round, client and step are known only for a DivergenceError
             status = {"status": "failed", "error": type(exc).__name__, "message": str(exc),
                       "repeat": repeat, "round": getattr(exc, "round_index", None),
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
         # only print extra lines before the one error line
         with np.errstate(all="ignore"):
             run_dir = run_experiment(spec)
-    except (DivergenceError, DomainError, NumericalError) as exc:
+    except TRAINING_FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

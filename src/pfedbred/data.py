@@ -80,22 +80,23 @@ class Partition:
         return np.array([len(tr) + len(te) for tr, te in zip(self.train, self.test)])
 
 
-def _split_train_test(idx: np.ndarray, train_fraction: float, rng: np.random.Generator):
-    """Shuffle one client's indices and cut off a train prefix.
+def _split_clients(per_client: list[np.ndarray], train_fraction: float,
+                   rng: np.random.Generator) -> Partition:
+    """Shuffle each client's indices and cut off a train prefix, to within one example of
+    the fraction; a client with fewer than two examples is a PartitionError."""
+    train, test = [], []
+    for client, idx in enumerate(per_client):
+        if idx.size < 2:
+            raise PartitionError(f"client {client} received {idx.size} example(s); a client "
+                                 "needs two, one to train on and one to test on")
+        idx = rng.permutation(idx)
+        train_n = min(max(int(round(len(idx) * train_fraction)), 1), len(idx) - 1)
+        train.append(idx[:train_n])
+        test.append(idx[train_n:])
+    return Partition(train=tuple(train), test=tuple(test))
 
-    The cut honors the fraction to within one example; a single-example
-    client keeps it for training and gets an empty test split.
-    """
-    idx = rng.permutation(idx)
-    n = len(idx)
-    if n == 1:
-        return idx, idx[:0]
-    train_n = int(round(n * train_fraction))
-    train_n = min(max(train_n, 1), n - 1)
-    return idx[:train_n], idx[train_n:]
 
-
-def _validate_partition_args(dataset: Dataset, num_clients: int, train_fraction: float) -> None:
+def _validate_partition_args(num_clients: int, train_fraction: float) -> None:
     if num_clients < 1:
         raise PartitionError(f"num_clients must be >= 1, got {num_clients}")
     if not 0.0 < train_fraction < 1.0:
@@ -108,9 +109,10 @@ def partition_label_shard(dataset: Dataset, num_clients: int, classes_per_client
 
     Every class must land on at least one client, so
     num_clients * classes_per_client must reach num_classes, and each class's
-    examples are split evenly among the clients holding it.
+    examples are split evenly among the clients holding it.  A client that
+    gets fewer than two examples is a PartitionError.
     """
-    _validate_partition_args(dataset, num_clients, train_fraction)
+    _validate_partition_args(num_clients, train_fraction)
     c = dataset.num_classes
     if not 1 <= classes_per_client <= c:
         raise PartitionError(
@@ -139,15 +141,8 @@ def partition_label_shard(dataset: Dataset, num_clients: int, classes_per_client
         for owner, chunk in zip(owners, np.array_split(cls_idx, len(owners))):
             per_client[owner].append(chunk)
 
-    train, test = [], []
-    for chunks in per_client:
-        idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        if idx.size == 0:
-            raise PartitionError("a client received no examples; use fewer clients")
-        tr, te = _split_train_test(idx, train_fraction, rng)
-        train.append(tr)
-        test.append(te)
-    return Partition(train=tuple(train), test=tuple(test))
+    # each client holds classes_per_client >= 1 classes, so its list is nonempty
+    return _split_clients([np.concatenate(chunks) for chunks in per_client], train_fraction, rng)
 
 
 def _dirichlet_allocate(labels: np.ndarray, num_classes: int, num_clients: int,
@@ -164,7 +159,7 @@ def _dirichlet_allocate(labels: np.ndarray, num_classes: int, num_clients: int,
     return [np.concatenate(ch) if ch else np.empty(0, dtype=np.int64) for ch in assignment]
 
 
-def _equalize_sizes(per_client: list[np.ndarray], rng: np.random.Generator) -> list[np.ndarray]:
+def _equalize_sizes(per_client: list[np.ndarray]) -> list[np.ndarray]:
     """Move surplus examples from the largest clients to the smallest ones."""
     sizes = np.array([len(a) for a in per_client])
     target = int(np.floor(sizes.sum() / len(per_client)))
@@ -191,38 +186,32 @@ def partition_dirichlet(dataset: Dataset, num_clients: int, alpha: float,
     """Split each class across clients with Dirichlet(alpha) proportions.
 
     Small alpha concentrates each class on few clients; large alpha
-    approaches a uniform split.  Allocations leaving any client empty are
-    redrawn, up to a retry cap.  ``equalize`` additionally levels client
-    sizes by moving surplus examples, trading some skew for balance.
+    approaches a uniform split.  Allocations leaving a client fewer than two
+    examples are redrawn, up to a retry cap.  ``equalize`` additionally levels
+    client sizes to at least n // num_clients by moving surplus examples,
+    trading some skew for balance, so it redraws only an empty client.
     """
-    _validate_partition_args(dataset, num_clients, train_fraction)
+    _validate_partition_args(num_clients, train_fraction)
     if not 0.0 < alpha < np.inf:
         raise PartitionError(f"alpha must be positive and finite, got {alpha}")
-    if num_clients > dataset.n:
-        raise PartitionError(f"{num_clients} clients exceed {dataset.n} examples")
+    if 2 * num_clients > dataset.n:
+        raise PartitionError(f"{num_clients} clients need two examples each, "
+                             f"the dataset has {dataset.n}")
 
+    least = 1 if equalize else 2  # leveling gives each client n // num_clients >= 2
     rng = np.random.default_rng(seed)
     for _ in range(_DIRICHLET_MAX_TRIES):
         per_client = _dirichlet_allocate(dataset.labels, dataset.num_classes,
                                          num_clients, alpha, rng)
-        if all(a.size > 0 for a in per_client):
+        if all(a.size >= least for a in per_client):
             break
     else:
         raise PartitionError(
-            f"could not produce a nonempty allocation in {_DIRICHLET_MAX_TRIES} tries; "
+            f"could not give every client {least} example(s) in {_DIRICHLET_MAX_TRIES} tries; "
             f"alpha={alpha} with {num_clients} clients is too extreme")
-
     if equalize:
-        per_client = _equalize_sizes(per_client, rng)
-        if any(a.size == 0 for a in per_client):
-            raise PartitionError("equalization emptied a client")
-
-    train, test = [], []
-    for idx in per_client:
-        tr, te = _split_train_test(idx, train_fraction, rng)
-        train.append(tr)
-        test.append(te)
-    return Partition(train=tuple(train), test=tuple(test))
+        per_client = _equalize_sizes(per_client)
+    return _split_clients(per_client, train_fraction, rng)
 
 
 def _open_maybe_gzip(path):

@@ -79,7 +79,7 @@ def per_class_stats(model, params, features, labels, num_classes):
 
 
 def gce(vectors) -> float:
-    """Generalized coherence estimate of a set of nonzero vectors.
+    """Generalized coherence estimate of a set of finite, nonzero vectors.
 
     One minus the determinant of the normalized Gram matrix: 0 for mutually
     orthogonal directions, 1 when any two directions coincide.  The Gram
@@ -91,9 +91,17 @@ def gce(vectors) -> float:
         raise DimensionError(f"expected a 2-d stack of vectors, got shape {mat.shape}")
     if mat.shape[0] < 2:
         raise DegenerateInputError("coherence needs at least two vectors")
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms <= _ZERO_NORM_TOL):
-        raise DegenerateInputError("coherence is undefined for zero vectors")
+    if not np.isfinite(mat).all():
+        raise DegenerateInputError("coherence is undefined for non-finite vectors")
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        norms = np.linalg.norm(mat, axis=1)
+    odd = ~((norms > _ZERO_NORM_TOL) & (norms < np.inf))
+    if odd.any():  # a norm over- or underflowed: scale those rows by their largest magnitude
+        peaks = np.where(odd, np.abs(mat).max(axis=1), 1.0)
+        if not peaks.all():
+            raise DegenerateInputError("coherence is undefined for zero vectors")
+        mat = mat / peaks[:, None]  # other rows divide by 1.0, which moves no bit
+        norms = np.linalg.norm(mat, axis=1)
     unit = mat / norms[:, None]
     gram = unit @ unit.T
     det = float(np.linalg.det(gram))
@@ -117,8 +125,8 @@ def loss_deviation(losses, weights) -> np.ndarray:
         w = np.broadcast_to(w[:, None], losses.shape)
     elif w.shape != losses.shape:
         raise DimensionError(f"weights shape {w.shape} does not match losses {losses.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
     totals = w.sum(axis=0)
     means = np.zeros(losses.shape[1])
     nonzero = totals > 0

@@ -121,15 +121,12 @@ def test_repeats_do_not_depend_on_pfb_threads(tmp_path, monkeypatch):
     (["--model", "dnn", "--method", "perfedavg_fo", "--alpha", "1e200"], "NumericalError"),
     (["--method", "perfedavg_fo", "--alpha", "1e307"], "DivergenceError"),
     (["--method", "fedavg", "--ft", "--alpha", "1e12"], "DivergenceError"),
-    (["--synth", "2,2,1,1.0", "--N", "2", "--S", "1", "--partition", "label_shard:1"],
-     "ConfigError"),
 ])
 def test_training_failures_exit_two(tmp_path, capsys, extra, error):
     # pytest captures warnings, so this cannot see numpy's RuntimeWarnings;
     # test_training_failure_prints_only_the_error_line runs the real CLI
     code = main(SMALL_RUN + extra + ["--out", str(tmp_path / "runs")])
-    # a config error found only once the run has started exits 1, like any config error
-    assert code == (1 if error == "ConfigError" else 2)
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
@@ -207,16 +204,30 @@ sys.exit(code)
     (["--bogus"], "ConfigError"),
     (["--partition", "label_shard:9"], "PartitionError"),  # 9 classes per client, 4 in total
     (["--lambda", "inf"], "ConfigError"),
+    # one example a client, which leaves it no test split
+    (["--synth", "2,2,1,1.0", "--N", "2", "--S", "1", "--partition", "label_shard:1"],
+     "PartitionError", "client 0 "),
 ])
 def test_malformed_flags_exit_one(tmp_path, capsys, extra):
     # exit 2 is kept for failed training runs; a config error leaves no run directory
-    argv, error = extra
+    argv, error, *named = extra
     code = main(SMALL_RUN + argv + ["--out", str(tmp_path / "runs")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+    assert all(part in err for part in named)
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_dirichlet_client_of_one_example_is_redrawn(tmp_path):
+    # seed 1's first allocation gives client 1 one example, which left it no test split
+    argv = ["--synth", "4,4,5,1.0", "--partition", "dirichlet:0.5", "--N", "4", "--S", "2",
+            "--T", "2", "--seed", "1", "--out", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    spec = parse_config(None, _overrides_from_args(build_parser().parse_args(argv)))
+    partition = cli.build_partition(spec, cli.build_dataset(spec), spec.seed)
+    assert partition.client_sizes().tolist() == [7, 6, 3, 4]
 
 
 NO_MODEL = "ValueError: need num_features >= 1, num_classes >= 2, hidden >= 1"

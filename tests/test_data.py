@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pfedbred import (Dataset, IdxFormatError, Mclr, Partition, PartitionError, load_csv,
                       load_idx, partition_dirichlet, partition_label_shard, save_csv,
                       synth_gaussian_mixture)
+from pfedbred.fl import make_clients
 from pfedbred.models import softmax
 
 from .helpers import write_idx_images, write_idx_labels
@@ -105,6 +108,9 @@ def test_label_shard_rejects_class_with_too_few_examples():
     ds = Dataset(features=features, labels=labels, num_classes=2)
     with pytest.raises(PartitionError, match="class 1"):
         partition_label_shard(ds, 8, 1, seed=0)
+    # class 1's three holders get one example each, which leaves no test split
+    with pytest.raises(PartitionError, match=r"^client 1 received 1 example\(s\)"):
+        partition_label_shard(ds, 6, 1, seed=0)
 
 
 def test_label_shard_param_validation(corpus):
@@ -183,6 +189,37 @@ def test_dirichlet_param_validation(corpus):
             partition_dirichlet(corpus, 10, alpha, seed=0)
     with pytest.raises(PartitionError):
         partition_dirichlet(corpus, corpus.n + 1, 1.0, seed=0)
+    with pytest.raises(PartitionError, match="601 clients need two examples each"):
+        partition_dirichlet(corpus, corpus.n // 2 + 1, 1.0, seed=0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(classes=st.integers(2, 5), per_class=st.integers(1, 6), num_clients=st.integers(1, 8),
+       spec=st.one_of(st.tuples(st.just("label_shard"), st.integers(1, 5)),
+                      st.tuples(st.just("dirichlet"), st.floats(0.02, 20.0))),
+       equalize=st.booleans(), train_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 50))
+# pfedbred --synth 2,2,1,1.0 --N 2 --partition label_shard:1: one example a client
+@example(classes=2, per_class=1, num_clients=2, spec=("label_shard", 1), equalize=False,
+         train_fraction=0.9, seed=0)
+# pfedbred --synth 4,4,5,1.0 --N 4 --partition dirichlet:0.5 --seed 1: the first
+# allocation gives client 1 one example
+@example(classes=4, per_class=5, num_clients=4, spec=("dirichlet", 0.5), equalize=False,
+         train_fraction=0.9, seed=1)
+def test_a_partition_raises_or_gives_every_client_both_splits(
+        classes, per_class, num_clients, spec, equalize, train_fraction, seed):
+    ds = synth_gaussian_mixture(classes, classes, per_class, 1.0, seed=seed)
+    kind, param = spec
+    try:
+        if kind == "label_shard":
+            part = partition_label_shard(ds, num_clients, param, train_fraction, seed)
+        else:
+            part = partition_dirichlet(ds, num_clients, param, train_fraction, seed,
+                                       equalize=equalize)
+    except PartitionError:
+        return
+    model = Mclr(ds.num_features, classes)
+    make_clients(ds, part, model, 1, np.zeros(model.num_params))  # raises for an unusable row
+    assert np.array_equal(np.sort(all_indices(part)), np.arange(ds.n))
 
 
 @pytest.fixture

@@ -274,14 +274,13 @@ def test_check_bounded_rejects_nonfinite_and_huge(bad):
         _check_bounded(np.array([0.0, bad]), 3, 2, 4)
 
 
-@pytest.mark.parametrize("kind", ["vanilla", "lg"])
-def test_strategy_reaches_its_closed_form_fixed_point(kind):
-    # three clients f_i(p) = 0.5 (p - c_i)^T A_i (p - c_i).  The exact prox gives the envelope
-    # gradient lam (mu - theta) = M_i (mu - c_i) with M_i = (A_i^-1 + I / lam)^-1, so the server
-    # stops where sum_i M_i (mu_i(w) - c_i) = 0: for vanilla mu_i(w) = w, the minimizer of the
-    # summed Moreau envelopes (pFedMe's outer objective); for lg mu_i(w) = w - eta_alpha A_i
-    # (w - c_i), taken as a constant in the local step, without mu's Jacobian
-    lam, eta_alpha, dim = 15.0, 0.05, 4
+def quadratic_fixed_point_problem(lam=15.0, dim=4):
+    """Three clients f_i(p) = 0.5 (p - c_i)^T A_i (p - c_i), A_i = QQ^T / 4 + 0.5 I (seed 0).
+
+    Returns the centers, the Hessians, their envelope Hessians M_i = (A_i^-1 + I / lam)^-1,
+    and the prox step alpha = 1 / (lam + max eig A_i): the inner contraction is then at most
+    1 - (lam + 0.5) / (lam + max eig A_i), so K = 20 steps solve the prox to rounding.
+    """
     rng = np.random.default_rng(0)
     centers, hessians = [], []
     for _ in range(3):
@@ -289,25 +288,95 @@ def test_strategy_reaches_its_closed_form_fixed_point(kind):
         centers.append(rng.normal(size=dim))
         hessians.append(q @ q.T / 4 + 0.5 * np.eye(dim))
     envelopes = [np.linalg.inv(np.linalg.inv(a) + np.eye(dim) / lam) for a in hessians]
-    cfg = RunConfig(
-        # an inner contraction of at most 1 - (lam + 0.5) / (lam + max eig A_i): K=20 is exact
-        alpha=1.0 / (lam + max(np.linalg.eigvalsh(a).max() for a in hessians)), prox_steps=20,
-        alpha_m=1.0 / np.linalg.eigvalsh(np.mean(envelopes, axis=0)).max(), lam=lam, beta=1.0,
-        local_steps=1, sample_size=3, num_clients=3, num_rounds=400,
-        strategy=PriorStrategy(kind=kind, eta_alpha=eta_alpha))
+    alpha = 1.0 / (lam + max(np.linalg.eigvalsh(a).max() for a in hessians))
+    return centers, hessians, envelopes, alpha
+
+
+def run_quadratic_clients(cfg, centers, hessians):
+    """``cfg.num_rounds`` rounds of ``fl.local_round`` and ``fl.aggregate`` over every client."""
     cfg.validate()
-    w = np.zeros(dim)
+    w = np.zeros(len(centers[0]))
     clients = [ClientState(index=i, oracle=QuadraticLoss(c, a), test_rows=np.arange(1),
                            theta=w, memorized_local=w)
                for i, (c, a) in enumerate(zip(centers, hessians))]
     for t in range(1, cfg.num_rounds + 1):
         w = aggregate(w, [local_round(c, w, cfg, SQUARED_NORM, client_rng(0, c.index, t), t)[0]
                           for c in clients], cfg.beta)
+    return w, clients
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "lg"])
+def test_strategy_reaches_its_closed_form_fixed_point(kind):
+    # the exact prox gives the envelope gradient lam (mu - theta) = M_i (mu - c_i), so the
+    # server stops where sum_i M_i (mu_i(w) - c_i) = 0: for vanilla mu_i(w) = w, the minimizer
+    # of the summed Moreau envelopes (pFedMe's outer objective); for lg mu_i(w) = w - eta_alpha
+    # A_i (w - c_i), taken as a constant in the local step, without mu's Jacobian
+    lam, eta_alpha = 15.0, 0.05
+    centers, hessians, envelopes, alpha = quadratic_fixed_point_problem(lam)
+    cfg = RunConfig(
+        alpha=alpha, prox_steps=20, lam=lam, beta=1.0,
+        alpha_m=1.0 / np.linalg.eigvalsh(np.mean(envelopes, axis=0)).max(),
+        local_steps=1, sample_size=3, num_clients=3, num_rounds=400,
+        strategy=PriorStrategy(kind=kind, eta_alpha=eta_alpha))
+    w, _ = run_quadratic_clients(cfg, centers, hessians)
     # mu_i(w) - c_i = shift_i (w - c_i)
-    shifts = [np.eye(dim) - (kind == "lg") * eta_alpha * a for a in hessians]
+    shifts = [np.eye(len(w)) - (kind == "lg") * eta_alpha * a for a in hessians]
     fixed_point = np.linalg.solve(sum(m @ s for m, s in zip(envelopes, shifts)),
                                   sum(m @ s @ c for m, s, c in zip(envelopes, shifts, centers)))
     assert np.abs(w - fixed_point).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind, prox_steps, beta", [
+    ("meg", 20, 1.0), ("mh", 20, 1.0), ("mh_variant", 20, 1.0),
+    ("mh", 20, 2.0),  # aggregation momentum
+    ("vanilla", 2, 1.0),  # the inexact solver's own point, 5e-3 from the exact prox's
+])
+def test_strategy_reaches_the_fixed_point_of_its_round_map(kind, prox_steps, beta):
+    # one round (R = 1, every client sampled) is an affine map of the state (w, theta_i,
+    # memorized_i), written out here from the strategy table: mu_i, then theta_i from mu_i,
+    # w_i = w - alpha_m lam (mu_i - theta_i), memorized_i = w_i, and the server step
+    # w <- (1 - beta) w + beta mean_i w_i.  Its fixed point is the engine's limit; a memory
+    # shift makes that point depend on alpha_m
+    lam, dim = 15.0, 4
+    centers, hessians, envelopes, alpha = quadratic_fixed_point_problem(lam, dim)
+    strategy = PriorStrategy(kind=kind, eta_alpha=0.05, eta=0.05)
+    cfg = RunConfig(
+        alpha=alpha, prox_steps=prox_steps, lam=lam, beta=beta,
+        alpha_m=1.0 / (beta * np.linalg.eigvalsh(np.mean(envelopes, axis=0)).max()),
+        local_steps=1, sample_size=3, num_clients=3, num_rounds=400, strategy=strategy)
+    eye = np.eye(dim)
+
+    def prox(a, c, mu):
+        if prox_steps == 2:  # two gradient steps from mu: G^2 mu + alpha (I + G)(A c + lam mu)
+            g = eye - alpha * (a + lam * eye)
+            return g @ g @ mu + alpha * (eye + g) @ (a @ c + lam * mu)
+        return np.linalg.solve(a + lam * eye, a @ c + lam * mu)  # the exact prox
+
+    def one_round(state):
+        w, thetas, memorized = state[:dim], state[dim:4 * dim], state[4 * dim:]
+        local_models, new_thetas = [], []
+        for i, (a, c) in enumerate(zip(hessians, centers)):
+            theta, mem = thetas[i * dim:(i + 1) * dim], memorized[i * dim:(i + 1) * dim]
+            mu = w
+            if kind == "mh":
+                mu = w - strategy.eta_alpha * a @ (w - c)
+            elif kind == "mh_variant":
+                lookahead = w - strategy.eta_tilde * a @ (w - c)
+                mu = w - strategy.eta * strategy.eta_tilde_alpha * a @ (lookahead - c)
+            if kind in ("meg", "mh", "mh_variant"):
+                mu = mu - strategy.eta * (mem - theta)
+            new_thetas.append(prox(a, c, mu))
+            local_models.append(w - cfg.alpha_m * lam * (mu - new_thetas[-1]))
+        w = (1.0 - beta) * w + beta * np.mean(local_models, axis=0)
+        return np.concatenate([w, *new_thetas, *local_models])
+
+    offset = one_round(np.zeros(7 * dim))
+    linear = np.column_stack([one_round(e) - offset for e in np.eye(7 * dim)])
+    assert np.abs(np.linalg.eigvals(linear)).max() < 0.9
+    fixed_point = np.linalg.solve(np.eye(7 * dim) - linear, offset)
+    w, clients = run_quadratic_clients(cfg, centers, hessians)
+    state = np.concatenate([w, *(c.theta for c in clients), *(c.memorized_local for c in clients)])
+    assert np.abs(state - fixed_point).max() < 1e-12
 
 
 def test_aggregate_examples():

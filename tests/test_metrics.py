@@ -109,6 +109,20 @@ def test_gce_degenerate_inputs():
         gce([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(DimensionError):
         gce([1.0, 0.0])
+    # a non-finite vector has no direction; it gave NaN
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            gce([[1.0, bad], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e-310])
+def test_gce_survives_norms_out_of_range(scale):
+    # at 1e160 the norms overflowed and orthogonal vectors read 1.0; at 1e-170 they
+    # underflowed and the vectors were taken for zero
+    assert gce(scale * np.array([[1.0, 1.0], [1.0, -1.0]])) == pytest.approx(0.0, abs=1e-12)
+    assert gce(scale * np.array([[1.0, 0.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
+    mixed = np.array([[scale, scale], [1.0, 0.0]])
+    assert gce(mixed) == pytest.approx(gce([[1.0, 1.0], [1.0, 0.0]]), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -163,6 +177,12 @@ def test_loss_deviation_validation():
         loss_deviation(np.zeros((3, 2)), np.ones(2))
     with pytest.raises(ValueError, match="nonnegative"):
         loss_deviation(np.zeros((2, 2)), np.array([-1.0, 1.0]))
+    # NaN weights kept the raw losses and inf ones gave NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            loss_deviation(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            loss_deviation(np.ones((2, 2)), np.array([[1.0, bad], [1.0, 1.0]]))
 
 
 def test_savgol_reproduces_polynomials_including_edges():
